@@ -329,9 +329,16 @@ def resolve_colors(c_rule: dict, built: BuiltScenario) -> int:
         return c_rule["value"]
     if kind == "power":
         return max(1, ceil(c_rule["lam"] * built.n ** c_rule["a"]))
-    # mean: choose c so the leading count over c^(r-1) lands near lam
+    # mean: the smallest c with c^(r-1) >= ref_count / lam, so the leading
+    # count over c^(r-1) lands near lam; int ** int vs float compares exactly
     base = built.ref_count / c_rule["lam"]
-    return max(1, ceil(base ** (1.0 / (built.uniformity - 1))))
+    k = built.uniformity - 1
+    c = max(1, int(base ** (1.0 / k)))
+    while c > 1 and (c - 1) ** k >= base:
+        c -= 1
+    while c**k < base:
+        c += 1
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -502,22 +502,6 @@ def ordering_is_admissible(S: Sequence[Iterable[int]], order: Sequence[int]) -> 
     return any(2 <= t <= r - 1 for t in prof[1:])
 
 
-def _connectivity_order(edges: list[frozenset[int]], start: int = 0) -> list[int]:
-    order = [start]
-    union = set(edges[start])
-    used = {start}
-    while len(order) < len(edges):
-        for i, e in enumerate(edges):
-            if i not in used and e & union:
-                order.append(i)
-                used.add(i)
-                union |= e
-                break
-        else:
-            raise ValidationError("edges do not form one connected union")
-    return order
-
-
 def _extend_order(prefix: list[int], edges: list[frozenset[int]]) -> list[int]:
     order = list(prefix)
     used = set(prefix)
@@ -555,7 +539,7 @@ def order_connected_edges(S: Sequence[Iterable[int]]) -> OrderingResult:
         if len(e) != r:
             raise ValidationError(f"S[{i}]: edge size {len(e)} != {r}")
     k = len(edges)
-    sigma = _connectivity_order(edges)  # raises if disconnected
+    sigma = _extend_order([0], edges)  # raises if disconnected
     union_size = len(set().union(*edges))
     b = len(set(edges))
     bound = b * r - b + 1
@@ -604,8 +588,8 @@ def order_connected_edges_bruteforce(S: Sequence[Iterable[int]]) -> OrderingResu
     k = len(edges)
     if k > 8:
         raise ResourceBoundError(f"brute-force order search limited to k <= 8, got {k}")
-    _connectivity_order(edges)  # connectivity validation
+    _extend_order([0], edges)  # connectivity validation
     for perm in itertools.permutations(range(k)):
         if ordering_is_admissible(S, perm):
             return OrderingResult(True, perm)
-    return OrderingResult(False, tuple(_connectivity_order(edges)))
+    return OrderingResult(False, tuple(_extend_order([0], edges)))

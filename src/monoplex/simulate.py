@@ -1,10 +1,17 @@
-"""Seeded Monte Carlo over colorings and the exact enumeration oracle.
+"""Seeded Monte Carlo over colorings and the exact law over color partitions.
 
 Replicates are processed in fixed-size blocks of 4096; block b draws from a
 Philox substream derived from (seed, b). Shards own whole blocks, so the
 merged counts are bit-identical for every shard count, and every backend
 consumes the block's color matrix identically, so backend choice never
 changes results either.
+
+The exact law runs through the same per-layer counters. Colors are
+exchangeable, so the counts depend only on the partition of the vertices
+into color classes, and a partition with k blocks stands for (c)_k
+colorings. Partitions into at most c blocks are enumerated as restricted
+growth strings in chunks of at most BLOCK_SIZE rows, and each chunk is
+counted like a block of colorings.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,19 +87,11 @@ def sample_coloring(n: int, c: int, rng: np.random.Generator) -> Coloring:
     return Coloring(tuple(int(a) for a in colors), c)
 
 
-def _edges_array(H: UniformHypergraph) -> np.ndarray:
-    if H.num_edges == 0:
-        return np.empty((0, H.uniformity), dtype=np.int32)
-    return np.asarray(H.edges, dtype=np.int32)
-
-
 def _dense_T(colors: np.ndarray, edges: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     """Per-replicate monochromatic totals by direct edge evaluation."""
     B = colors.shape[0]
     E, r = edges.shape
     out = np.zeros(B, dtype=np.int64)
-    if E == 0:
-        return out
     chunk = max(1, 8_000_000 // max(1, B * r))
     for lo in range(0, E, chunk):
         sub = edges[lo : lo + chunk]
@@ -122,18 +121,11 @@ def _leading_pair_T(
     """Stage 1 tests the shared leading pair per bucket; stage 2 expands only
     surviving (replicate, bucket) cells to their full edges."""
     B = colors.shape[0]
-    out = np.zeros(B, dtype=np.int64)
-    if edges.shape[0] == 0:
-        return out
     uniq, order, bstart, blen = tables
     eq = colors[:, uniq[:, 0]] == colors[:, uniq[:, 1]]
     rows, pids = np.nonzero(eq)
-    if len(rows) == 0:
-        return out
     cnt = blen[pids]
     tot = int(cnt.sum())
-    if tot == 0:
-        return out
     rows_exp = np.repeat(rows, cnt)
     starts = np.repeat(bstart[pids], cnt)
     csum = np.cumsum(cnt) - cnt
@@ -208,12 +200,7 @@ def _pair_class_T(
 ) -> np.ndarray:
     """Count which same-color pairs are edges, per replicate row."""
     sorted_keys, sorted_weights = tables
-    out = np.zeros(B, dtype=np.int64)
-    if len(sorted_keys) == 0:
-        return out
     rows, u, v = pairs
-    if len(rows) == 0:
-        return out
     pk = u * n + v
     pos = np.searchsorted(sorted_keys, pk)
     pos_safe = np.minimum(pos, len(sorted_keys) - 1)
@@ -246,6 +233,51 @@ def _choose_backend(H: UniformHypergraph, c: int, requested: str) -> str:
     return "dense"
 
 
+def _layer_counter(
+    layers: Sequence[UniformHypergraph],
+    weight_lists: Sequence[Sequence[int] | None],
+    n: int,
+    c: int,
+    backend: str,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-layer counting plan: returns count(colors) -> (B, d) int64 array
+    of per-row monochromatic totals (weighted where weights are given)."""
+    plans = []
+    for layer, weights in zip(layers, weight_lists):
+        kind = _choose_backend(layer, c, backend)
+        edges = np.asarray(layer.edges, dtype=np.int32).reshape(-1, layer.uniformity)
+        w = None if weights is None else np.asarray(weights, dtype=np.int64)
+        if kind == "leading-pair" and len(edges):
+            plans.append((kind, edges, w, _leading_pair_tables(edges)))
+        elif kind == "pair-class" and len(edges):
+            plans.append((kind, edges, w, _pair_class_tables(edges, n, w)))
+        else:  # dense, also for an edgeless layer under any backend
+            plans.append(("dense", edges, w, None))
+    any_pairs = any(kind == "pair-class" for kind, *_ in plans)
+
+    def count(colors: np.ndarray) -> np.ndarray:
+        B = colors.shape[0]
+        pairs = _same_color_pairs(colors) if any_pairs else None
+        cols = []
+        for kind, edges, w, tables in plans:
+            if kind == "dense":
+                cols.append(_dense_T(colors, edges, w))
+            elif kind == "leading-pair":
+                cols.append(_leading_pair_T(colors, edges, tables, w))
+            else:
+                cols.append(_pair_class_T(pairs, tables, n, B))
+        return np.stack(cols, axis=1)
+
+    return count
+
+
+def _row_counts(out: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(row as a tuple of ints, multiplicity) per distinct row of out."""
+    uniq, cnt = np.unique(out, axis=0, return_counts=True)
+    for key, k in zip(uniq, cnt):
+        yield tuple(int(x) for x in key), int(k)
+
+
 def _block_plan(cfg: SimulationConfig) -> list[tuple[int, int]]:
     """(block index, rows in block) covering all replicates; shards take
     whole blocks round-robin, which leaves the merged counts unchanged."""
@@ -258,16 +290,14 @@ def _block_plan(cfg: SimulationConfig) -> list[tuple[int, int]]:
     return plan
 
 
-def _accumulate(cfg: SimulationConfig, n_vertices: int, d: int, compute) -> Counter:
+def _accumulate(cfg: SimulationConfig, n_vertices: int, compute) -> Counter:
     """Run compute(rng, colors) -> (B, d) int array over all blocks."""
     counts: Counter = Counter()
     for block, B in _block_plan(cfg):
         rng = _block_rng(cfg.seed, block)
         colors = rng.integers(1, cfg.c + 1, size=(B, n_vertices), dtype=np.int32)
-        out = compute(rng, colors)
-        uniq, cnt = np.unique(out, axis=0, return_counts=True)
-        for key, k in zip(uniq, cnt):
-            counts[tuple(int(x) for x in key)] += int(k)
+        for key, k in _row_counts(compute(rng, colors)):
+            counts[key] += k
     return counts
 
 
@@ -282,68 +312,22 @@ def simulate_T(M: Multiplex, cfg: SimulationConfig, backend: str = "auto") -> Em
     cfg.replicates colorings. Output depends only on (c, replicates, seed);
     shards and backend never change it."""
     d = M.num_layers
-    n = M.num_vertices
     if cfg.c == 1:
         key = tuple(layer.num_edges for layer in M.layers)
         return _empirical(Counter({key: cfg.replicates}), d, cfg)
-    plans = []
-    any_pairs = False
-    for layer in M.layers:
-        kind = _choose_backend(layer, cfg.c, backend)
-        edges = _edges_array(layer)
-        if kind == "leading-pair":
-            plans.append((kind, edges, _leading_pair_tables(edges) if layer.num_edges else None))
-        elif kind == "pair-class":
-            plans.append((kind, edges, _pair_class_tables(edges, n, None)))
-            any_pairs = True
-        else:
-            plans.append((kind, edges, None))
-
-    def compute(rng, colors):
-        B = colors.shape[0]
-        pairs = _same_color_pairs(colors) if any_pairs else None
-        cols = []
-        for kind, edges, tables in plans:
-            if kind == "dense" or edges.shape[0] == 0:
-                cols.append(_dense_T(colors, edges, None))
-            elif kind == "leading-pair":
-                cols.append(_leading_pair_T(colors, edges, tables, None))
-            else:
-                cols.append(_pair_class_T(pairs, tables, n, B))
-        return np.stack(cols, axis=1)
-
-    return _empirical(_accumulate(cfg, n, d, compute), d, cfg)
+    count = _layer_counter(M.layers, [None] * d, M.num_vertices, cfg.c, backend)
+    return _empirical(_accumulate(cfg, M.num_vertices, lambda rng, colors: count(colors)), d, cfg)
 
 
 def simulate_W(
     WH: WeightedUniformHypergraph, cfg: SimulationConfig, backend: str = "auto"
 ) -> EmpiricalLaw:
     """Empirical law of the weighted monochromatic total (dimension 1)."""
-    H = WH.base
-    n = H.num_vertices
+    n = WH.base.num_vertices
     if cfg.c == 1:
         return _empirical(Counter({(sum(WH.weights),): cfg.replicates}), 1, cfg)
-    weights = np.asarray(WH.weights, dtype=np.int64)
-    kind = _choose_backend(H, cfg.c, backend)
-    edges = _edges_array(H)
-    if kind == "leading-pair":
-        tables = _leading_pair_tables(edges) if H.num_edges else None
-    elif kind == "pair-class":
-        tables = _pair_class_tables(edges, n, weights)
-    else:
-        tables = None
-
-    def compute(rng, colors):
-        B = colors.shape[0]
-        if kind == "dense" or edges.shape[0] == 0:
-            out = _dense_T(colors, edges, weights)
-        elif kind == "leading-pair":
-            out = _leading_pair_T(colors, edges, tables, weights)
-        else:
-            out = _pair_class_T(_same_color_pairs(colors), tables, n, B)
-        return out[:, None]
-
-    return _empirical(_accumulate(cfg, n, 1, compute), 1, cfg)
+    count = _layer_counter([WH.base], [WH.weights], n, cfg.c, backend)
+    return _empirical(_accumulate(cfg, n, lambda rng, colors: count(colors)), 1, cfg)
 
 
 def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
@@ -376,15 +360,16 @@ def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
             ok &= colors[rows, safe] == ref
         return np.bincount(rows[ok], minlength=B)[:, None]
 
-    return _empirical(_accumulate(cfg, n, 1, compute), 1, cfg)
+    return _empirical(_accumulate(cfg, n, compute), 1, cfg)
 
 
 def _binomial_array(m: np.ndarray, r: int) -> np.ndarray:
-    """C(m, r) per entry, exact in int64."""
-    out = np.ones_like(m, dtype=np.int64)
-    for k in range(r):
-        out = out * np.maximum(m - k, 0) // (k + 1)
-    return out
+    """C(m, r) per entry, read from an exact table built with math.comb;
+    raises ResourceBoundError when C(max m, r) does not fit in int64."""
+    top = int(m.max(initial=0))
+    if comb(top, r) >= 2**63:
+        raise ResourceBoundError(f"C({top}, {r}) = {comb(top, r)} does not fit in int64")
+    return np.array([comb(k, r) for k in range(top + 1)], dtype=np.int64)[m]
 
 
 def simulate_correlated_er_T(params: CorrelatedErParams, cfg: SimulationConfig) -> EmpiricalLaw:
@@ -399,99 +384,93 @@ def simulate_correlated_er_T(params: CorrelatedErParams, cfg: SimulationConfig) 
     n, r = params.n, params.r
     p, p12 = params.p, params.p12
     pvals = [p12, p - p12, p - p12, 1.0 - 2.0 * p + p12]
+    # The class binomials of one coloring sum to at most C(n, r), so checking
+    # that one value bounds every total.
+    binom = _binomial_array(np.arange(n + 1), r)
 
     def compute(rng, colors):
         B = colors.shape[0]
         offsets = np.arange(B, dtype=np.int64)[:, None] * cfg.c
         flat = (colors.astype(np.int64) - 1) + offsets
         class_sizes = np.bincount(flat.ravel(), minlength=B * cfg.c).reshape(B, cfg.c)
-        mono = _binomial_array(class_sizes, r).sum(axis=1)
+        mono = binom[class_sizes].sum(axis=1)
         draws = rng.multinomial(mono, pvals)
         t1 = draws[:, 0] + draws[:, 1]
         t2 = draws[:, 0] + draws[:, 2]
         return np.stack([t1, t2], axis=1)
 
-    return _empirical(_accumulate(cfg, n, 2, compute), 2, cfg)
+    return _empirical(_accumulate(cfg, n, compute), 2, cfg)
 
 
-def _enumerate_joint(
-    edge_lists: Sequence[Sequence[tuple[int, ...]]],
-    weight_lists: Sequence[Sequence[int]],
+def _partition_count(n: int, kmax: int) -> int:
+    """Set partitions of n elements into at most kmax blocks: the sum of the
+    Stirling numbers S(n, k) for k <= kmax."""
+    row = [1] + [0] * kmax  # S(0, k)
+    for _ in range(n):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, kmax + 1)]
+    return sum(row)
+
+
+def _partitions(n: int, kmax: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rgs, blocks) chunks of at most BLOCK_SIZE rows covering every set
+    partition of n elements into at most kmax blocks, each once. A row of
+    rgs is a restricted growth string: element j gets label 0..max+1 where
+    max is the largest label before it, capped at kmax - 1; blocks holds
+    each row's block count."""
+
+    def expand(prefix: np.ndarray, blocks: np.ndarray):
+        if prefix.shape[1] == n:
+            yield prefix, blocks
+            return
+        opts = blocks + (blocks < kmax)
+        parent = np.repeat(np.arange(len(prefix)), opts)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(opts) - opts, opts)
+        rows = np.concatenate([prefix[parent], label[:, None].astype(np.int32)], axis=1)
+        grown = np.maximum(blocks[parent], label + 1)
+        for lo in range(0, len(rows), BLOCK_SIZE):
+            yield from expand(rows[lo : lo + BLOCK_SIZE], grown[lo : lo + BLOCK_SIZE])
+
+    yield from expand(np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int64))
+
+
+def _exact(
+    layers: Sequence[UniformHypergraph],
+    weight_lists: Sequence[Sequence[int] | None],
     n: int,
     c: int,
     max_states: int,
-) -> tuple[dict, int]:
-    """Exact joint counts over all c^n colorings via a mixed-radix odometer;
-    only edges touching the changed vertex are re-evaluated per step."""
-    states = c**n
+) -> DiscreteLaw:
+    """Exact joint pmf over all c^n colorings, counted partition by
+    partition; masses integer/c^n, tail 0."""
+    if c < 1:
+        raise ValidationError(f"c: must be >= 1, got {c}")
+    kmax = min(c, n)
+    states = _partition_count(n, kmax)
     if states > max_states:
-        raise ResourceBoundError(f"c^n = {states} exceeds enumeration bound {max_states}")
-    d = len(edge_lists)
-    colors = [1] * n
-    mono: list[list[bool]] = [[True] * len(E) for E in edge_lists]
-    totals = [sum(W) for W in weight_lists]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for li, E in enumerate(edge_lists):
-        for ei, e in enumerate(E):
-            for v in e:
-                adj[v].append((li, ei))
-
-    def apply_change(v: int) -> None:
-        for li, ei in adj[v]:
-            e = edge_lists[li][ei]
-            a = colors[e[0]]
-            is_mono = True
-            for u in e[1:]:
-                if colors[u] != a:
-                    is_mono = False
-                    break
-            if is_mono != mono[li][ei]:
-                if is_mono:
-                    totals[li] += weight_lists[li][ei]
-                else:
-                    totals[li] -= weight_lists[li][ei]
-                mono[li][ei] = is_mono
-
-    counts: dict = {}
-    remaining = states
-    single = d == 1
-    while True:
-        key = totals[0] if single else tuple(totals)
-        counts[key] = counts.get(key, 0) + 1
-        remaining -= 1
-        if remaining == 0:
-            break
-        v = 0
-        while colors[v] == c:
-            colors[v] = 1
-            apply_change(v)
-            v += 1
-        colors[v] += 1
-        apply_change(v)
-    if single:
-        counts = {(k,): v for k, v in counts.items()}
-    return counts, states
+        raise ResourceBoundError(
+            f"{states} partitions of {n} vertices into at most {kmax} color classes "
+            f"exceed enumeration bound {max_states}"
+        )
+    falling = [1]  # falling[k] = (c)_k, the colorings that realize a k-block partition
+    for k in range(kmax):
+        falling.append(falling[-1] * (c - k))
+    count = _layer_counter(layers, weight_lists, n, c, "auto")
+    counts: Counter = Counter()
+    for rgs, blocks in _partitions(n, kmax):
+        for key, k in _row_counts(np.concatenate([count(rgs), blocks[:, None]], axis=1)):
+            counts[key[:-1]] += k * falling[key[-1]]
+    pmf = {key: Fraction(total, c**n) for key, total in counts.items()}
+    return law_from_pmf(len(layers), pmf, 0)
 
 
 def exact_law(M: Multiplex, c: int, max_states: int = 10_000_000) -> DiscreteLaw:
-    """Exact joint pmf of the layer counts, masses integer/c^n, tail 0."""
-    if c < 1:
-        raise ValidationError(f"c: must be >= 1, got {c}")
-    edge_lists = [layer.edges for layer in M.layers]
-    weight_lists = [[1] * layer.num_edges for layer in M.layers]
-    counts, states = _enumerate_joint(edge_lists, weight_lists, M.num_vertices, c, max_states)
-    pmf = {key: Fraction(k, states) for key, k in counts.items()}
-    return law_from_pmf(M.num_layers, pmf, 0)
+    """Exact joint pmf of the layer counts, masses integer/c^n, tail 0.
+    max_states bounds the number of color partitions enumerated."""
+    return _exact(M.layers, [None] * M.num_layers, M.num_vertices, c, max_states)
 
 
 def exact_law_weighted(
     WH: WeightedUniformHypergraph, c: int, max_states: int = 10_000_000
 ) -> DiscreteLaw:
     """Exact pmf of the weighted monochromatic total."""
-    if c < 1:
-        raise ValidationError(f"c: must be >= 1, got {c}")
-    counts, states = _enumerate_joint(
-        [WH.base.edges], [list(WH.weights)], WH.base.num_vertices, c, max_states
-    )
-    pmf = {key: Fraction(k, states) for key, k in counts.items()}
-    return law_from_pmf(1, pmf, 0)
+    return _exact([WH.base], [WH.weights], WH.base.num_vertices, c, max_states)

@@ -2,11 +2,13 @@
 
 import json
 from math import exp
+from pathlib import Path
 
 import pytest
 
 from monoplex.cli import (
     PRESETS,
+    BuiltScenario,
     build_scenario,
     main,
     new_experiment_spec,
@@ -18,6 +20,9 @@ from monoplex.cli import (
 )
 from monoplex.core import ValidationError
 from monoplex.serialize import load_structure, read_json, write_json
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run_cli(*argv):
@@ -243,6 +248,52 @@ class TestCompare:
     def test_config_and_preset_mutually_exclusive(self, capsys):
         assert run_cli("compare", "--preset", "birthday", "--config", "x.json") == 2
 
+    def _corr_er_spec(self, tmp_path, r):
+        spec_obj = spec_to_obj(
+            make_spec(
+                scenario="corr-er",
+                params={"r": r, "p": 0.2, "rho": 0.05},
+                c_rule={"kind": "fixed", "value": 1},
+                sizes=(200,),
+                law="simulate",
+                targets=(
+                    {"kind": "shared", "label": "joint", "rates": [{"subset": [1, 2], "rate": 1.0}]},
+                ),
+            )
+        )
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_obj)
+        return cfg
+
+    def test_corr_er_class_binomial_near_int64_limit(self, tmp_path):
+        # C(200, 12) = 6107693672247476400 fits in int64 but m^12 does not
+        cfg = self._corr_er_spec(tmp_path, 12)
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 0
+
+    def test_corr_er_class_binomial_overflow_exits_3(self, tmp_path, capsys):
+        cfg = self._corr_er_spec(tmp_path, 13)
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert "resource bound" in err and "Traceback" not in err
+
+
+class TestGoldenOutputs:
+    """results.csv pinned byte for byte. The files in tests/data/golden came
+    from `monoplex compare --preset NAME --replicates 4096` and from
+    `monoplex compare --config SPEC` on the exact-law specs stored beside them."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset(self, name, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("compare", "--preset", name, "--replicates", 4096, "--out", out) == 0
+        assert (out / "results.csv").read_bytes() == (GOLDEN / f"preset-{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ("exact-ap", "exact-copies", "exact-weighted"))
+    def test_exact_spec(self, name, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("compare", "--config", GOLDEN / f"{name}.json", "--out", out) == 0
+        assert (out / "results.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
 
 class TestSpecValidation:
     def test_unknown_scenario(self):
@@ -275,6 +326,12 @@ class TestScenarioPlumbing:
         spec = preset_spec("birthday")
         built = build_scenario(spec, 50)
         assert resolve_colors(spec.c_rule, built) == 1225
+
+    def test_mean_rule_exact_powers(self):
+        rule = {"kind": "mean", "lam": 1.0}
+        assert resolve_colors(rule, BuiltScenario("multiplex", 6, 1, 6, 3125)) == 5
+        assert resolve_colors(rule, BuiltScenario("multiplex", 11, 1, 11, 5**10)) == 5
+        assert resolve_colors(rule, BuiltScenario("multiplex", 6, 1, 6, 3126)) == 6
 
     def test_power_rule(self):
         spec = preset_spec("appendix-b")

@@ -1,6 +1,7 @@
 """Simulation engine: reproducibility, backend agreement, exactness."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb, exp, factorial, sqrt
 
@@ -13,6 +14,8 @@ from monoplex.core import (
     ResourceBoundError,
     ValidationError,
     count_monochromatic,
+    count_monochromatic_vector,
+    count_weighted,
     new_coloring,
     new_hypergraph,
     new_multiplex,
@@ -29,6 +32,11 @@ from monoplex.families import (
 from monoplex.laws import law_moments, poisson_law, tv_distance
 from monoplex.moments import covariance_T, mean_T, mean_W, variance_T, variance_W
 from monoplex.simulate import (
+    BLOCK_SIZE,
+    _binomial_array,
+    _layer_counter,
+    _partition_count,
+    _partitions,
     exact_law,
     exact_law_weighted,
     new_simulation_config,
@@ -89,9 +97,12 @@ class TestExactLaw:
         assert law.pmf == {(3, 1): Fraction(1)}
 
     def test_bound(self):
+        # max_states bounds the color partitions enumerated: H3 has n = 5
+        # vertices and c = 100 > n, so all B_5 = 52 partitions are needed.
         M = new_multiplex([H3])
         with pytest.raises(ResourceBoundError):
-            exact_law(M, 100, max_states=1000)
+            exact_law(M, 100, max_states=51)
+        assert exact_law(M, 100, max_states=52) == exact_law(M, 100)
 
     def test_counts_match_direct_enumeration(self):
         H = new_hypergraph(2, 4, [[0, 1], [1, 2], [2, 3]])
@@ -133,6 +144,120 @@ class TestOracleEquivalence:
         law = exact_law(new_multiplex([H1, H2]), c)
         mom = law_moments(law)
         assert mom.covariance[0][1] == covariance_T(H1, H2, c, rational=True).covariance
+
+
+def brute_force_pmf(count, n, c):
+    """Reference law, independent of the simulate module: visit all c^n
+    colorings and count each one with count(coloring) -> tuple."""
+    counts = Counter(
+        count(new_coloring(colors, c)) for colors in itertools.product(range(1, c + 1), repeat=n)
+    )
+    return {key: Fraction(k, c**n) for key, k in counts.items()}
+
+
+def colors_for(draw, n):
+    """c in 1..4, or c > n when c^n stays small enough to brute-force."""
+    return draw(st.sampled_from([1, 2, 3, 4] + ([n + 1] if n <= 5 else [])))
+
+
+@st.composite
+def multiplexes(draw):
+    n = draw(st.integers(4, 6))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(2, 4))
+        pool = list(itertools.combinations(range(n), r))
+        edges = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+        layers.append(new_hypergraph(r, n, [list(e) for e in edges]))
+    return new_multiplex(layers), colors_for(draw, n)
+
+
+@st.composite
+def weighted_instances(draw):
+    n = draw(st.integers(4, 6))
+    r = draw(st.integers(2, 4))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    return new_weighted_hypergraph(r, n, [list(e) for e in edges], weights), colors_for(draw, n)
+
+
+def admissible_backends(H):
+    return ("dense", "pair-class") if H.uniformity == 2 else ("dense", "leading-pair")
+
+
+class TestBruteForceReference:
+    @given(multiplexes())
+    @settings(max_examples=30, deadline=None)
+    def test_exact_law_matches(self, inst):
+        M, c = inst
+        expect = brute_force_pmf(lambda x: count_monochromatic_vector(M, x), M.num_vertices, c)
+        assert exact_law(M, c).pmf == expect
+
+    @given(weighted_instances())
+    @settings(max_examples=30, deadline=None)
+    def test_exact_law_weighted_matches(self, inst):
+        WH, c = inst
+        expect = brute_force_pmf(lambda x: (count_weighted(WH, x),), WH.base.num_vertices, c)
+        assert exact_law_weighted(WH, c).pmf == expect
+
+    @given(multiplexes())
+    @settings(max_examples=20, deadline=None)
+    def test_counters_match_row_by_row(self, inst):
+        M, c = inst
+        colorings = list(itertools.product(range(1, c + 1), repeat=M.num_vertices))
+        expect = np.array([count_monochromatic_vector(M, new_coloring(x, c)) for x in colorings])
+        colors = np.array(colorings, dtype=np.int32)
+        for i, layer in enumerate(M.layers):
+            for backend in admissible_backends(layer):
+                count = _layer_counter([layer], [None], M.num_vertices, c, backend)
+                assert np.array_equal(count(colors)[:, 0], expect[:, i]), backend
+
+    @given(weighted_instances())
+    @settings(max_examples=20, deadline=None)
+    def test_weighted_counters_match_row_by_row(self, inst):
+        WH, c = inst
+        colorings = list(itertools.product(range(1, c + 1), repeat=WH.base.num_vertices))
+        expect = np.array([count_weighted(WH, new_coloring(x, c)) for x in colorings])
+        colors = np.array(colorings, dtype=np.int32)
+        for backend in admissible_backends(WH.base):
+            count = _layer_counter([WH.base], [WH.weights], WH.base.num_vertices, c, backend)
+            assert np.array_equal(count(colors)[:, 0], expect), backend
+
+
+class TestColorPartitions:
+    def test_each_partition_once_in_bounded_chunks(self):
+        for n, kmax in ((1, 1), (5, 5), (7, 3), (8, 1), (10, 10)):
+            chunks = list(_partitions(n, kmax))
+            assert all(len(rgs) == len(blocks) <= BLOCK_SIZE for rgs, blocks in chunks)
+            rows = np.concatenate([rgs for rgs, _ in chunks])
+            assert len({tuple(row) for row in rows}) == len(rows) == _partition_count(n, kmax)
+            blocks = np.concatenate([b for _, b in chunks])
+            assert np.array_equal(blocks, rows.max(axis=1) + 1)
+
+    def test_partition_counts(self):
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+        assert [_partition_count(n, n) for n in range(13)] == bell
+        assert _partition_count(11, 3) == 29525  # S(11,1) + S(11,2) + S(11,3)
+        assert _partition_count(5, 100) == 52
+
+    def test_large_c_moments(self):
+        # c^n = 10^60 colorings, 115975 partitions: the Poisson regime.
+        H = new_hypergraph(3, 10, [[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 4, 8], [5, 6, 7], [7, 8, 9], [1, 5, 9]])
+        c = 10**6
+        mom = law_moments(exact_law(new_multiplex([H]), c))
+        assert mom.means[0] == mean_T(H, c, rational=True)
+        assert mom.covariance[0][0] == variance_T(H, c, rational=True).variance
+
+
+class TestBinomialArray:
+    def test_exact_near_int64_limit(self):
+        assert int(_binomial_array(np.array([200]), 12)[0]) == comb(200, 12)
+        assert _binomial_array(np.array([3, 0, 5]), 2).tolist() == [3, 0, 10]
+
+    def test_overflow_raises(self):
+        with pytest.raises(ResourceBoundError):
+            _binomial_array(np.array([200]), 13)
 
 
 class TestExactLawWeighted:
