@@ -6,6 +6,16 @@ merged counts are bit-identical for every shard count, and every backend
 consumes the block's color matrix identically, so backend choice never
 changes results either.
 
+Same-color vertex pairs are listed by sorting each row's packed keys
+color*n + v once (unique keys, so this is the stable argsort's permutation)
+and walking the sorted rows by gap: the pairs at gap g are the positions
+whose g predecessors share their color. The pair-class backend tests these
+pairs against a 2-uniform layer's edge keys and the AP kernel extends them
+to progressions. Auto sends a 2-uniform layer of at least 500 edges to
+pair-class when the expected pair count is below an eighth of its edges.
+Weighted totals are summed exactly: in int64 by dense, in float64 by the
+other backends, which are refused once the weight sum reaches 2^53.
+
 The exact law runs through the same per-layer counters. Colors are
 exchangeable, so the counts depend only on the partition of the vertices
 into color classes, and a partition with k blocks stands for (c)_k
@@ -16,7 +26,6 @@ counted like a block of colorings.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,46 +151,58 @@ def _leading_pair_T(
     return np.rint(acc).astype(np.int64)
 
 
+def _sorted_keys(colors: np.ndarray) -> tuple[np.ndarray, np.integer]:
+    """Each row's packed keys color*n + v, sorted: the row's vertices in
+    color order, ids ascending inside each color class. The keys are unique,
+    so this is the stable argsort of colors; the sort runs on uint32 when
+    every key fits, where NumPy's sort is far faster, else on int64."""
+    n = colors.shape[1]
+    narrow = colors.min(initial=0) >= 0 and (int(colors.max(initial=0)) + 1) * n <= 2**32
+    dtype = np.uint32 if narrow else np.int64
+    keys = colors.astype(dtype) * dtype(n) + np.arange(n, dtype=dtype)
+    keys.sort(axis=1)
+    return keys, dtype(n)
+
+
 def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All unordered same-color vertex pairs of every replicate row.
 
-    Returns (rows, u, v) with u < v. Stable argsort keeps vertex ids
-    ascending inside each color class.
+    Returns (rows, u, v) with u < v. After sorting each row by color, the
+    pairs at gap g are the sorted positions p whose g predecessors all share
+    p's color; they are found from the gap g-1 positions with one mask, so
+    the walk runs (largest class size - 1) times.
     """
     B, n = colors.shape
-    order = np.argsort(colors, axis=1, kind="stable")
-    sc = np.take_along_axis(colors, order, axis=1)
-    eq = np.concatenate([sc[:, 1:] == sc[:, :-1], np.zeros((B, 1), dtype=bool)], axis=1)
-    d = np.diff(eq.ravel().astype(np.int8), prepend=0, append=0)
-    starts = np.nonzero(d == 1)[0]
-    ends = np.nonzero(d == -1)[0]
-    lens = ends - starts
-    if len(starts) == 0:
+    keys, width = _sorted_keys(colors)
+    sc = keys // width
+    same = np.zeros((B, n), dtype=bool)
+    same[:, 1:] = sc[:, 1:] == sc[:, :-1]
+    same = same.ravel()
+    keys = keys.ravel()
+    rows_parts, u_parts, v_parts = [], [], []
+    held = 0
+    idx = np.flatnonzero(same)
+    g = 1
+    while len(idx):
+        held += len(idx)
+        if held > PAIR_BUDGET:
+            raise ResourceBoundError(
+                f"same-color pairs of {B} replicates on {n} vertices exceed "
+                f"the budget of {PAIR_BUDGET} pairs"
+            )
+        rows_parts.append(idx // n)
+        u_parts.append(keys[idx - g])
+        v_parts.append(keys[idx])
+        # Selecting through flatnonzero, not a boolean mask: on masks of
+        # mixed bits NumPy's boolean indexing is about twice as slow.
+        idx = idx[np.flatnonzero(same[idx - g])]
+        g += 1
+    if not rows_parts:
         z = np.empty(0, dtype=np.int64)
         return z, z.copy(), z.copy()
-    sizes = lens + 1
-    total_pairs = int((sizes * (sizes - 1) // 2).sum())
-    if total_pairs > PAIR_BUDGET:
-        raise ResourceBoundError(
-            f"same-color pair enumeration needs {total_pairs} pairs; "
-            "use the dense backend for this instance"
-        )
-    order_flat = order.ravel()
-    rows_parts = []
-    u_parts = []
-    v_parts = []
-    for m in np.unique(sizes):
-        idx = starts[sizes == m]
-        offs = np.array(list(itertools.combinations(range(int(m)), 2)), dtype=np.int64)
-        a = (idx[:, None] + offs[None, :, 0]).ravel()
-        b = (idx[:, None] + offs[None, :, 1]).ravel()
-        rows_parts.append(a // n)
-        u_parts.append(order_flat[a])
-        v_parts.append(order_flat[b])
-    rows = np.concatenate(rows_parts)
-    u = np.concatenate(u_parts).astype(np.int64)
-    v = np.concatenate(v_parts).astype(np.int64)
-    return rows, u, v
+    u = (np.concatenate(u_parts) % width).astype(np.int64)
+    v = (np.concatenate(v_parts) % width).astype(np.int64)
+    return np.concatenate(rows_parts), u, v
 
 
 def _pair_class_tables(edges: np.ndarray, n: int, weights: np.ndarray | None):
@@ -223,8 +244,12 @@ def _choose_backend(H: UniformHypergraph, c: int, requested: str) -> str:
             raise ValidationError(f"backend: unknown choice {requested!r}")
         return requested
     if r == 2:
+        # pair-class pays a row sort plus the expected pair count, dense pays
+        # E edge tests. Forced timings on K_n layers that pass the ratio test
+        # cross near 500 edges: K30 at c=30 (435 edges) runs faster dense,
+        # K35 at c=35 (595 edges) faster through pair-class.
         expected_pairs = n * (n - 1) / (2 * max(1, c))
-        if E > 20_000 and expected_pairs < E / 8:
+        if E >= 500 and expected_pairs < E / 8:
             return "pair-class"
         return "dense"
     uniq_pairs = len(set(e[:2] for e in H.edges))
@@ -245,6 +270,18 @@ def _layer_counter(
     plans = []
     for layer, weights in zip(layers, weight_lists):
         kind = _choose_backend(layer, c, backend)
+        if weights is not None:
+            # Weights are >= 1, so every per-row total is at most their sum.
+            total = sum(weights)
+            if total >= 2**63:
+                raise ResourceBoundError(f"weight sum {total} does not fit in int64")
+            if total >= 2**53 and kind != "dense":
+                if backend != "auto":
+                    raise ResourceBoundError(
+                        f"{kind} backend sums weights in float64, exact only below 2^53; "
+                        f"weight sum is {total}"
+                    )
+                kind = "dense"
         edges = np.asarray(layer.edges, dtype=np.int32).reshape(-1, layer.uniformity)
         w = None if weights is None else np.asarray(weights, dtype=np.int64)
         if kind == "leading-pair" and len(edges):
@@ -344,21 +381,18 @@ def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
         return _empirical(Counter({(ap_count_closed_form(n, r),): cfg.replicates}), 1, cfg)
 
     def compute(rng, colors):
-        B = colors.shape[0]
         rows, u, v = _same_color_pairs(colors)
-        if len(rows) == 0:
-            return np.zeros((B, 1), dtype=np.int64)
         step = v - u
+        fits = np.flatnonzero(v + (r - 2) * step < n)
+        rows, step = rows[fits], step[fits]
+        flat = colors.ravel()
+        nxt = rows * n + v[fits]
+        ref = flat[nxt]
         ok = np.ones(len(rows), dtype=bool)
-        nxt = v.copy()
-        ref = colors[rows, u]
         for _ in range(r - 2):
-            nxt = nxt + step
-            in_range = nxt < n
-            ok &= in_range
-            safe = np.where(in_range, nxt, 0)
-            ok &= colors[rows, safe] == ref
-        return np.bincount(rows[ok], minlength=B)[:, None]
+            nxt += step
+            ok &= flat[nxt] == ref
+        return np.bincount(rows[np.flatnonzero(ok)], minlength=colors.shape[0])[:, None]
 
     return _empirical(_accumulate(cfg, n, compute), 1, cfg)
 

@@ -20,6 +20,7 @@ from monoplex.cli import (
 )
 from monoplex.core import ValidationError
 from monoplex.serialize import load_structure, read_json, write_json
+from monoplex.simulate import _choose_backend, new_simulation_config, simulate_T
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -337,6 +338,38 @@ class TestScenarioPlumbing:
         spec = preset_spec("appendix-b")
         built = build_scenario(spec, 200)
         assert resolve_colors(spec.c_rule, built) == 40000
+
+    def test_auto_backend_for_preset_graph_layers(self):
+        picks = {}
+        for name in PRESETS:
+            spec = preset_spec(name)
+            for n in spec.sizes:
+                built = build_scenario(spec, n)
+                c = resolve_colors(spec.c_rule, built)
+                variants = built.variants or {}
+                for M in [built.multiplex] if built.multiplex else variants.values():
+                    for layer in M.layers:
+                        if layer.uniformity == 2:
+                            pick = _choose_backend(layer, c, "auto")
+                            picks.setdefault((name, n, c), set()).add(pick)
+        assert picks == {
+            ("birthday", 50, 1225): {"pair-class"},
+            ("birthday", 100, 4950): {"pair-class"},
+            ("birthday", 200, 19900): {"pair-class"},
+            ("appendix-b", 200, 40000): {"pair-class"},
+            ("appendix-b", 400, 160000): {"pair-class"},
+        }
+        k30 = build_scenario(preset_spec("birthday"), 30).multiplex.layers[0]
+        assert _choose_backend(k30, 30, "auto") == "dense"
+        k35 = build_scenario(preset_spec("birthday"), 35).multiplex.layers[0]
+        assert _choose_backend(k35, 35, "auto") == "pair-class"
+
+    def test_auto_backend_same_law_on_birthday_k200(self):
+        M = build_scenario(preset_spec("birthday"), 200).multiplex
+        cfg = new_simulation_config(19900, 5000, 7)
+        auto = simulate_T(M, cfg).law
+        assert auto == simulate_T(M, cfg, backend="dense").law
+        assert auto == simulate_T(M, cfg, backend="pair-class").law
 
     def test_weighted_blocks_classes(self):
         spec = preset_spec("weighted")

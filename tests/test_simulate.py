@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoplex import simulate
 from monoplex.core import (
     ResourceBoundError,
     ValidationError,
@@ -37,6 +38,8 @@ from monoplex.simulate import (
     _layer_counter,
     _partition_count,
     _partitions,
+    _same_color_pairs,
+    _sorted_keys,
     exact_law,
     exact_law_weighted,
     new_simulation_config,
@@ -225,6 +228,62 @@ class TestBruteForceReference:
             assert np.array_equal(count(colors)[:, 0], expect), backend
 
 
+@st.composite
+def color_blocks(draw):
+    """A (B, n) int32 label block: labels from 0 (partition labels) or from 1
+    (drawn colors) up to c, some rows all one color, and few distinct labels
+    per row so that classes of several vertices occur at every c. Labels up
+    to 2^31 - 1 push the packed keys past uint32, so both sort dtypes run."""
+    B = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    c = draw(st.sampled_from([1, 2, 5, 65535, 65536, 2**31 - 1]))
+    low = draw(st.sampled_from([0, 1]))
+    label = st.sampled_from([low, low + c - 1]) | st.integers(low, low + c - 1)
+    rows = []
+    for _ in range(B):
+        pool = draw(st.lists(label, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            pool = pool[:1]
+        rows.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return np.array(rows, dtype=np.int32).reshape(B, n)
+
+
+class TestSameColorPairs:
+    @given(color_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, colors):
+        B, n = colors.shape
+        expect = {
+            (b, u, v)
+            for b in range(B)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if colors[b, u] == colors[b, v]
+        }
+        rows, u, v = _same_color_pairs(colors)
+        got = list(zip(rows.tolist(), u.tolist(), v.tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == expect
+
+    def test_key_dtype_boundary(self):
+        # (top label + 1) * n = 2^32 is the widest block sorted as uint32.
+        top = 2**31 - 1
+        for n, dtype in ((2, np.uint32), (3, np.int64)):
+            colors = np.full((1, n), top, dtype=np.int32)
+            assert _sorted_keys(colors)[0].dtype == dtype
+            rows, u, v = _same_color_pairs(colors)
+            expect = {(a, b) for a in range(n) for b in range(a + 1, n)}
+            assert set(zip(u.tolist(), v.tolist())) == expect
+
+    def test_pair_budget(self, monkeypatch):
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 10)
+        assert len(_same_color_pairs(np.full((1, 5), 3, dtype=np.int32))[0]) == 10
+        with pytest.raises(ResourceBoundError):
+            _same_color_pairs(np.full((1, 6), 3, dtype=np.int32))
+        with pytest.raises(ResourceBoundError):
+            _same_color_pairs(np.full((2, 5), 70_000, dtype=np.int32))
+
+
 class TestColorPartitions:
     def test_each_partition_once_in_bounded_chunks(self):
         for n, kmax in ((1, 1), (5, 5), (7, 3), (8, 1), (10, 10)):
@@ -400,14 +459,50 @@ class TestSimulateW:
         )
 
 
+class TestWeightSums:
+    def path(self, w):
+        return new_weighted_hypergraph(2, 3, [[0, 1], [1, 2]], [w, w])
+
+    def test_above_float_precision_stays_exact(self):
+        # Float64 sums round 2^53 + 1, so the pair-summing backends refuse it
+        # and auto counts it in int64.
+        w = 2**53 + 1
+        WH = self.path(w)
+        cfg = new_simulation_config(2, 2000, 3)
+        auto = simulate_W(WH, cfg)
+        assert auto.law == simulate_W(WH, cfg, backend="dense").law
+        assert set(auto.law.support) == {(0,), (w,), (2 * w,)}
+        assert exact_law_weighted(WH, 2).pmf == {
+            (0,): Fraction(1, 4), (w,): Fraction(1, 2), (2 * w,): Fraction(1, 4)
+        }
+        with pytest.raises(ResourceBoundError):
+            simulate_W(WH, cfg, backend="pair-class")
+        star = new_weighted_hypergraph(3, 4, [[0, 1, 2], [0, 1, 3]], [w, 1])
+        with pytest.raises(ResourceBoundError):
+            simulate_W(star, cfg, backend="leading-pair")
+
+    @pytest.mark.parametrize("w", (2**62, 2**63))
+    def test_past_int64_raises(self, w):
+        cfg = new_simulation_config(2, 100, 3)
+        for backend in ("auto", "dense", "pair-class"):
+            with pytest.raises(ResourceBoundError):
+                simulate_W(self.path(w), cfg, backend=backend)
+        with pytest.raises(ResourceBoundError):
+            exact_law_weighted(self.path(w), 2)
+
+
 class TestSimulateAp:
     def test_bitwise_matches_generic(self):
-        for n, r in ((20, 3), (17, 4)):
+        # 9216 replicates: three blocks, the last one short. c = 2^31 - 1
+        # puts the packed keys past uint32, so the int64 sort runs.
+        for n, r, c in ((20, 3, 5), (17, 4, 5), (26, 5, 2), (200, 3, 2**31 - 1)):
             H = ap_hypergraph(range(1, n + 1), r)
-            cfg = new_simulation_config(5, 12_000, 19)
+            cfg = new_simulation_config(c, 9216, 19)
             fast = simulate_ap_T(n, r, cfg)
             generic = simulate_T(new_multiplex([H]), cfg)
-            assert fast.law == generic.law
+            assert fast.law == generic.law, (n, r, c)
+            sharded = simulate_ap_T(n, r, new_simulation_config(c, 9216, 19, shards=2))
+            assert sharded.law == fast.law, (n, r, c)
 
     def test_r_validation(self):
         with pytest.raises(ValidationError):
