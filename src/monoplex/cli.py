@@ -5,6 +5,11 @@ for a structure file), preset (emit a ready-made experiment spec), compare
 (run a spec: build instances over a size sweep, compute empirical or exact
 laws, and report total variation distances against target limit laws).
 
+SCENARIOS maps each scenario name to a builder that returns a BuiltScenario
+subclass; that class gives the instance's law (exact or simulated), its
+"derived" limit law and its comparison rows, so compare runs every scenario
+the same way. Presets are data: PRESETS maps a name to its spec arguments.
+
 Comparison output is a CSV table plus a JSON manifest. The CSV depends only
 on the spec (seed included), so reruns are byte-identical; wall-clock
 timings and timestamps live in the manifest only.
@@ -13,10 +18,13 @@ timings and timestamps live in the manifest only.
 from __future__ import annotations
 
 import argparse
+import copy
+import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import ceil, comb
@@ -84,29 +92,6 @@ from monoplex.simulate import (
     simulate_W,
 )
 
-SCENARIOS = (
-    "complete-graph",
-    "pattern-copies",
-    "ap",
-    "corr-er",
-    "weighted-blocks",
-    "appendix-a",
-    "appendix-b",
-)
-
-PRESETS = (
-    "birthday",
-    "edge-color",
-    "ap",
-    "corr-er",
-    "weighted",
-    "appendix-a",
-    "appendix-b",
-)
-
-_PATH3 = {"num_vertices": 3, "edges": [[0, 1], [1, 2]]}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One comparison run: a construction scenario swept over sizes, a color
@@ -124,15 +109,37 @@ class ExperimentSpec:
     tail_tol: float
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a compare run plus its summary rows."""
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{where}: must be a number, got {value!r}")
+    return float(value)
 
-    artifact_version: str
-    created_utc: str
-    spec: dict
-    results: tuple[dict, ...]
-    outputs: dict
+
+def _target_rates(t: dict, where: str):
+    """The rates of a fixed target law: one rate (poisson, binom2-poisson),
+    subset -> rate (shared), or the rates of weights 1..K (compound). Value
+    ranges are checked where the law is built."""
+    if t["kind"] in ("poisson", "binom2-poisson"):
+        return _number(t.get("rate"), f"{where}.rate")
+    rates = t.get("rates")
+    if t["kind"] == "shared":
+        if not isinstance(rates, list):
+            raise ValidationError(f"{where}.rates: list of {{subset, rate}} objects required")
+        by_subset = {}
+        for j, item in enumerate(rates):
+            subset = item.get("subset") if isinstance(item, dict) else None
+            if not isinstance(subset, list) or not all(isinstance(i, int) for i in subset):
+                raise ValidationError(f"{where}.rates[{j}].subset: list of layer numbers required")
+            by_subset[frozenset(subset)] = _number(item.get("rate"), f"{where}.rates[{j}].rate")
+        return by_subset
+    if not isinstance(rates, dict) or not rates:
+        raise ValidationError(f"{where}.rates: nonempty object of weight -> rate required")
+    by_weight = {}
+    for w, rate in rates.items():
+        if not str(w).isdecimal() or int(w) < 1:
+            raise ValidationError(f"{where}.rates: weight {w!r} must be an integer >= 1")
+        by_weight[int(w)] = _number(rate, f"{where}.rates[{w}]")
+    return [by_weight.get(w, 0.0) for w in range(1, max(by_weight) + 1)]
 
 
 def new_experiment_spec(
@@ -147,38 +154,44 @@ def new_experiment_spec(
     targets=(),
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ExperimentSpec:
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ValidationError(
             f"scenario: unknown scenario {scenario!r} (expected one of {', '.join(SCENARIOS)})"
         )
+    if not isinstance(params, dict):
+        raise ValidationError(f"params: expected an object, got {params!r}")
+    if not isinstance(sizes, (list, tuple, range)) or not sizes:
+        raise ValidationError("sizes: must be a nonempty list")
     sizes = tuple(sizes)
-    if not sizes:
-        raise ValidationError("sizes: must be nonempty")
     for i, n in enumerate(sizes):
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"sizes[{i}]: must be an integer >= 1, got {n!r}")
     if law not in ("simulate", "exact"):
         raise ValidationError(f"law: expected 'simulate' or 'exact', got {law!r}")
+    if not isinstance(c_rule, dict):
+        raise ValidationError(f"c_rule: expected an object, got {c_rule!r}")
     kind = c_rule.get("kind")
     if kind == "fixed":
         if not isinstance(c_rule.get("value"), int) or c_rule["value"] < 1:
             raise ValidationError("c_rule.value: must be an integer >= 1")
     elif kind in ("power", "mean"):
-        lam = c_rule.get("lam")
-        if not isinstance(lam, (int, float)) or lam <= 0:
+        if _number(c_rule.get("lam"), "c_rule.lam") <= 0:
             raise ValidationError("c_rule.lam: must be a positive number")
-        if kind == "power" and not isinstance(c_rule.get("a"), (int, float)):
-            raise ValidationError("c_rule.a: must be a number")
+        if kind == "power":
+            _number(c_rule.get("a"), "c_rule.a")
     else:
         raise ValidationError(f"c_rule.kind: expected fixed/power/mean, got {kind!r}")
-    targets = tuple(dict(t) for t in targets)
-    if not targets:
-        raise ValidationError("targets: at least one target law required")
+    if not isinstance(targets, (list, tuple)) or not targets:
+        raise ValidationError("targets: a nonempty list of target laws required")
     for i, t in enumerate(targets):
-        if t.get("kind") not in ("poisson", "binom2-poisson", "shared", "compound", "derived"):
-            raise ValidationError(f"targets[{i}].kind: unknown target kind {t.get('kind')!r}")
+        kind = t.get("kind") if isinstance(t, dict) else None
+        if kind not in ("poisson", "binom2-poisson", "shared", "compound", "derived"):
+            raise ValidationError(f"targets[{i}].kind: unknown target kind {kind!r}")
         if not isinstance(t.get("label"), str) or not t["label"]:
             raise ValidationError(f"targets[{i}].label: required")
+        if kind != "derived":
+            _target_rates(t, f"targets[{i}]")
+    targets = tuple(dict(t) for t in targets)
     new_simulation_config(1, replicates, seed, shards)
     if not isinstance(tail_tol, float) or not 0 < tail_tol < 1:
         raise ValidationError(f"tail_tol: must be in (0, 1), got {tail_tol!r}")
@@ -188,19 +201,7 @@ def new_experiment_spec(
 
 
 def spec_to_obj(spec: ExperimentSpec) -> dict:
-    return {
-        "kind": "experiment_spec",
-        "scenario": spec.scenario,
-        "params": spec.params,
-        "c_rule": spec.c_rule,
-        "sizes": list(spec.sizes),
-        "replicates": spec.replicates,
-        "seed": spec.seed,
-        "shards": spec.shards,
-        "law": spec.law,
-        "targets": [dict(t) for t in spec.targets],
-        "tail_tol": spec.tail_tol,
-    }
+    return {"kind": "experiment_spec", **asdict(spec)}
 
 
 def spec_from_obj(obj: dict, where: str = "spec") -> ExperimentSpec:
@@ -208,8 +209,7 @@ def spec_from_obj(obj: dict, where: str = "spec") -> ExperimentSpec:
         raise ValidationError(f"{where}: expected an object")
     if obj.get("kind") != "experiment_spec":
         raise ValidationError(f"{where}.kind: expected 'experiment_spec', got {obj.get('kind')!r}")
-    required = ("scenario", "params", "c_rule", "sizes", "replicates", "seed", "targets")
-    for key in required:
+    for key in ("scenario", "params", "c_rule", "sizes", "replicates", "seed", "targets"):
         if key not in obj:
             raise ValidationError(f"{where}: missing field {key!r}")
     return new_experiment_spec(
@@ -230,26 +230,174 @@ def spec_from_obj(obj: dict, where: str = "spec") -> ExperimentSpec:
 # scenario construction
 
 
+def _config(spec: ExperimentSpec, c: int, seed: int):
+    return new_simulation_config(c, spec.replicates, seed, spec.shards)
+
+
+def _multiplex_law(M: Multiplex, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+    if spec.law == "exact":
+        return exact_law(M, c)
+    return simulate_T(M, _config(spec, c, seed)).law
+
+
 @dataclass(frozen=True)
 class BuiltScenario:
-    kind: str  # multiplex | weighted | ap | corr-er | pair
+    """A scenario's instance at one size. Subclasses hold its structure and
+    give law(spec, c, seed), the exact or simulated law of the counts, and
+    derived(largest, c_largest, c, tail_tol), the law of a "derived" target."""
+
     n: int
     dimension: int
     uniformity: int
     ref_count: float  # reference edge/weight total driving the mean color rule
-    multiplex: Multiplex | None = None
-    weighted: WeightedUniformHypergraph | None = None
-    ap_r: int | None = None
-    er_params: CorrelatedErParams | None = None
-    variants: dict | None = None  # appendix-b: name -> Multiplex
+
+    def rows(self, spec: ExperimentSpec, c: int, largest: BuiltScenario, c_largest: int) -> list[dict]:
+        """One comparison row per target of the spec."""
+        emp = self.law(spec, c, spec.seed)
+        return [
+            _compare_row(self.n, c, t["label"], emp, self.target(t, largest, c_largest, c, spec.tail_tol))
+            for t in spec.targets
+        ]
+
+    def target(self, tspec: dict, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
+        """The limit law that one target of the spec names, at this size."""
+        kind = tspec["kind"]
+        if kind == "derived":
+            return self.derived(largest, c_largest, c, tail_tol)
+        rates = _target_rates(tspec, f"targets[{tspec['label']}]")
+        if kind == "poisson":
+            return poisson_law(rates, tail_tol)
+        if kind == "binom2-poisson":
+            return binom2_poisson_law(rates, tail_tol)
+        if kind == "shared":
+            return shared_component_law(new_shared_component_spec(self.dimension, rates), tail_tol)
+        return compound_weighted_law(rates, tail_tol)
 
 
-def _param(params: dict, key: str, default=None):
-    if key in params:
-        return params[key]
-    if default is None:
+@dataclass(frozen=True)
+class MultiplexScenario(BuiltScenario):
+    """Fixed layers; derived: independent Poissons at the largest instance's layer means."""
+
+    multiplex: Multiplex
+
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+        return _multiplex_law(self.multiplex, spec, c, seed)
+
+    def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
+        rates = {
+            frozenset({i + 1}): mean_T(layer, c_largest)
+            for i, layer in enumerate(largest.multiplex.layers)
+        }
+        return shared_component_law(new_shared_component_spec(self.dimension, rates), tail_tol)
+
+
+@dataclass(frozen=True)
+class WeightedScenario(BuiltScenario):
+    """Weighted edges; derived: the compound law of this instance's weight classes at c."""
+
+    weighted: WeightedUniformHypergraph
+
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+        if spec.law == "exact":
+            return exact_law_weighted(self.weighted, c)
+        return simulate_W(self.weighted, _config(spec, c, seed)).law
+
+    def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
+        counts = Counter(self.weighted.weights)
+        inv = float(Fraction(1, c ** (self.uniformity - 1)))
+        return compound_weighted_law([counts[w] * inv for w in range(1, max(counts) + 1)], tail_tol)
+
+
+@dataclass(frozen=True)
+class ApScenario(BuiltScenario):
+    """r-term APs in [1, n], r = uniformity; derived: Poisson at the largest mean."""
+
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+        if spec.law == "exact":
+            return exact_law(new_multiplex([ap_hypergraph(range(1, self.n + 1), self.uniformity)]), c)
+        return simulate_ap_T(self.n, self.uniformity, _config(spec, c, seed)).law
+
+    def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
+        return poisson_law(largest.ref_count / c_largest ** (largest.uniformity - 1), tail_tol)
+
+
+@dataclass(frozen=True)
+class CorrErScenario(BuiltScenario):
+    """Correlated Erdos-Renyi layers, drawn afresh in every replicate."""
+
+    er_params: CorrelatedErParams
+
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+        if spec.law == "exact":
+            raise ValidationError(f"law: exact enumeration unavailable for scenario {spec.scenario!r}")
+        return simulate_correlated_er_T(self.er_params, _config(spec, c, seed)).law
+
+    def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
+        ep = largest.er_params
+        subsets = comb(largest.n, largest.uniformity)
+        scale = c_largest ** (largest.uniformity - 1)
+        lam = ep.p * subsets / scale
+        lam12 = ep.p12 * subsets / scale
+        rates = {
+            frozenset({1}): lam - lam12,
+            frozenset({2}): lam - lam12,
+            frozenset({1, 2}): lam12,
+        }
+        return shared_component_law(new_shared_component_spec(2, rates), tail_tol)
+
+
+@dataclass(frozen=True)
+class AppendixBScenario(BuiltScenario):
+    """The nested and pairwise triple-overlap multiplexes. Whatever the
+    spec's targets, each variant is compared with its own limit law and the
+    two with each other (rows nested, pairwise, cross); variant i in name
+    order draws with seed + i."""
+
+    lam: float
+    variants: dict  # name -> Multiplex
+
+    def limits(self, c: int, tail_tol: float) -> dict[str, DiscreteLaw]:
+        """Triple-overlap vs pairwise-overlap limit laws at the finite-n rates."""
+        m = int(self.lam * self.n)
+        li = comb(self.n, 2) / c
+        lp = comb(m, 2) / c
+        nested = {frozenset({i}): li - lp for i in (1, 2, 3)}
+        nested[frozenset({1, 2, 3})] = lp
+        pairwise = {frozenset({i}): li - 2 * lp for i in (1, 2, 3)}
+        pairwise.update({frozenset(pair): lp for pair in itertools.combinations((1, 2, 3), 2)})
+        return {
+            "nested": shared_component_law(new_shared_component_spec(3, nested), tail_tol),
+            "pairwise": shared_component_law(new_shared_component_spec(3, pairwise), tail_tol),
+        }
+
+    def rows(self, spec: ExperimentSpec, c: int, largest: BuiltScenario, c_largest: int) -> list[dict]:
+        limits = self.limits(c, spec.tail_tol)
+        emp = {}
+        rows = []
+        for offset, name in enumerate(sorted(self.variants)):
+            emp[name] = _multiplex_law(self.variants[name], spec, c, (spec.seed + offset) % 2**64)
+            rows.append(_compare_row(self.n, c, name, emp[name], limits[name]))
+        rows.append(_compare_row(self.n, c, "cross", emp["nested"], emp["pairwise"]))
+        return rows
+
+
+def _param(params: dict, key: str, default=None, integer: bool = False):
+    """A numeric scenario parameter: params[key], else default (None: required)."""
+    value = params.get(key, default)
+    if value is None:
         raise ValidationError(f"params.{key}: required for this scenario")
-    return default
+    if not integer:
+        return _number(value, f"params.{key}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"params.{key}: must be an integer, got {value!r}")
+    return value
+
+
+def _complete(n: int) -> UniformHypergraph:
+    """K_n as a 2-uniform hypergraph."""
+    if n < 2:
+        raise ValidationError(f"n: complete graph needs n >= 2, got {n}")
+    return new_hypergraph(2, n, itertools.combinations(range(n), 2))
 
 
 def _blocks_graph(blocks: int, triangle_fraction: float):
@@ -266,61 +414,83 @@ def _blocks_graph(blocks: int, triangle_fraction: float):
     return new_simple_graph(3 * blocks, edges)
 
 
+def _pattern(p, where: str):
+    """The graph of a pattern object {"num_vertices": k, "edges": [[u, v], ...]}."""
+    if not isinstance(p, dict) or not isinstance(p.get("num_vertices"), int):
+        raise ValidationError(f"{where}.num_vertices: integer required")
+    edges = p.get("edges")
+    if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) for e in edges):
+        raise ValidationError(f"{where}.edges: list of vertex pairs required")
+    return new_pattern_graph(p["num_vertices"], edges)
+
+
+def _multiplex_scenario(n: int, layers: list[UniformHypergraph]) -> MultiplexScenario:
+    M = new_multiplex(layers)
+    return MultiplexScenario(n, M.num_layers, layers[0].uniformity, layers[0].num_edges, M)
+
+
+def _build_complete_graph(params: dict, n: int) -> BuiltScenario:
+    return _multiplex_scenario(n, [_complete(n)])
+
+
+def _build_pattern_copies(params: dict, n: int) -> BuiltScenario:
+    patterns = params.get("patterns")
+    if not isinstance(patterns, list) or not patterns:
+        raise ValidationError("params.patterns: nonempty list required")
+    G = complete_graph(n)
+    layers = [
+        copies_hypergraph(G, _pattern(p, f"params.patterns[{i}]")).hypergraph
+        for i, p in enumerate(patterns)
+    ]
+    return _multiplex_scenario(n, layers)
+
+
+def _build_ap(params: dict, n: int) -> BuiltScenario:
+    r = _param(params, "r", 3, integer=True)
+    if r < 3:
+        raise ValidationError(f"params.r: must be >= 3, got {r}")
+    return ApScenario(n, 1, r, ap_count_closed_form(n, r))
+
+
+def _build_corr_er(params: dict, n: int) -> BuiltScenario:
+    r = _param(params, "r", 2, integer=True)
+    ep = new_correlated_er_params(n, r, _param(params, "p"), _param(params, "rho"))
+    return CorrErScenario(n, 2, r, ep.p * comb(n, r), ep)
+
+
+def _build_weighted_blocks(params: dict, n: int) -> BuiltScenario:
+    frac = _param(params, "triangle_fraction", 0.3)
+    if not 0 <= frac <= 1:
+        raise ValidationError(f"params.triangle_fraction: must be in [0, 1], got {frac}")
+    path3 = new_pattern_graph(3, [[0, 1], [1, 2]])
+    WH = vertex_copy_weighted_hypergraph(_blocks_graph(n, frac), path3)
+    return WeightedScenario(n, 1, 3, sum(WH.weights), WH)
+
+
+def _build_appendix_a(params: dict, n: int) -> BuiltScenario:
+    return _multiplex_scenario(n, [appendix_star_hypergraph(n)])
+
+
+def _build_appendix_b(params: dict, n: int) -> BuiltScenario:
+    lam = _param(params, "lam", 0.2)
+    variants = {v: appendix_three_multiplex(n, lam, v) for v in ("nested", "pairwise")}
+    return AppendixBScenario(n, 3, 2, comb(n, 2), lam, variants)
+
+
+# scenario name -> builder(params, n)
+SCENARIOS = {
+    "complete-graph": _build_complete_graph,
+    "pattern-copies": _build_pattern_copies,
+    "ap": _build_ap,
+    "corr-er": _build_corr_er,
+    "weighted-blocks": _build_weighted_blocks,
+    "appendix-a": _build_appendix_a,
+    "appendix-b": _build_appendix_b,
+}
+
+
 def build_scenario(spec: ExperimentSpec, n: int) -> BuiltScenario:
-    params = spec.params
-    if spec.scenario == "complete-graph":
-        if n < 2:
-            raise ValidationError(f"sizes: complete-graph needs n >= 2, got {n}")
-        H = new_hypergraph(2, n, [[i, j] for i in range(n) for j in range(i + 1, n)])
-        return BuiltScenario(
-            "multiplex", n, 1, 2, H.num_edges, multiplex=new_multiplex([H])
-        )
-    if spec.scenario == "pattern-copies":
-        patterns = _param(params, "patterns")
-        if not isinstance(patterns, list) or not patterns:
-            raise ValidationError("params.patterns: nonempty list required")
-        G = complete_graph(n)
-        layers = []
-        for i, p in enumerate(patterns):
-            F = new_pattern_graph(p["num_vertices"], p["edges"])
-            layers.append(copies_hypergraph(G, F).hypergraph)
-        M = new_multiplex(layers)
-        return BuiltScenario(
-            "multiplex",
-            n,
-            M.num_layers,
-            layers[0].uniformity,
-            layers[0].num_edges,
-            multiplex=M,
-        )
-    if spec.scenario == "ap":
-        r = _param(params, "r", 3)
-        return BuiltScenario("ap", n, 1, r, ap_count_closed_form(n, r), ap_r=r)
-    if spec.scenario == "corr-er":
-        r = _param(params, "r", 2)
-        p = _param(params, "p")
-        rho = _param(params, "rho")
-        ep = new_correlated_er_params(n, r, float(p), float(rho))
-        return BuiltScenario("corr-er", n, 2, r, ep.p * comb(n, r), er_params=ep)
-    if spec.scenario == "weighted-blocks":
-        frac = float(_param(params, "triangle_fraction", 0.3))
-        if not 0 <= frac <= 1:
-            raise ValidationError(f"params.triangle_fraction: must be in [0, 1], got {frac}")
-        G = _blocks_graph(n, frac)
-        F = new_pattern_graph(_PATH3["num_vertices"], _PATH3["edges"])
-        WH = vertex_copy_weighted_hypergraph(G, F)
-        return BuiltScenario("weighted", n, 1, 3, sum(WH.weights), weighted=WH)
-    if spec.scenario == "appendix-a":
-        H = appendix_star_hypergraph(n)
-        return BuiltScenario("multiplex", n, 1, 3, H.num_edges, multiplex=new_multiplex([H]))
-    if spec.scenario == "appendix-b":
-        lam = float(_param(params, "lam", 0.2))
-        variants = {
-            "nested": appendix_three_multiplex(n, lam, "nested"),
-            "pairwise": appendix_three_multiplex(n, lam, "pairwise"),
-        }
-        return BuiltScenario("pair", n, 3, 2, comb(n, 2), variants=variants)
-    raise ValidationError(f"scenario: unknown scenario {spec.scenario!r}")
+    return SCENARIOS[spec.scenario](spec.params, n)
 
 
 def resolve_colors(c_rule: dict, built: BuiltScenario) -> int:
@@ -328,7 +498,13 @@ def resolve_colors(c_rule: dict, built: BuiltScenario) -> int:
     if kind == "fixed":
         return c_rule["value"]
     if kind == "power":
-        return max(1, ceil(c_rule["lam"] * built.n ** c_rule["a"]))
+        lam, a = c_rule["lam"], c_rule["a"]
+        c = lam * built.n**a
+        if c > 1 and float(a).is_integer():
+            # exact from lam's decimal value, so 1.1 * 100 gives 110, not
+            # 110.00000000000001; c > 1 keeps n^|a| within float range
+            c = Fraction(repr(lam)) * Fraction(built.n) ** int(a)
+        return max(1, ceil(c))
     # mean: the smallest c with c^(r-1) >= ref_count / lam, so the leading
     # count over c^(r-1) lands near lam; int ** int vs float compares exactly
     base = built.ref_count / c_rule["lam"]
@@ -342,129 +518,7 @@ def resolve_colors(c_rule: dict, built: BuiltScenario) -> int:
 
 
 # ---------------------------------------------------------------------------
-# target laws
-
-
-def _shared_law_from_rates(dimension: int, rate_items, tail_tol: float) -> DiscreteLaw:
-    rates = {}
-    for item in rate_items:
-        subset = frozenset(int(i) for i in item["subset"])
-        rates[subset] = float(item["rate"])
-    return shared_component_law(new_shared_component_spec(dimension, rates), tail_tol)
-
-
-def _weight_class_rates(WH: WeightedUniformHypergraph, c: int) -> list[float]:
-    """Rates for weights 1..K, zero where no edge carries that weight."""
-    counts: dict[int, int] = {}
-    for w in WH.weights:
-        counts[w] = counts.get(w, 0) + 1
-    inv = float(Fraction(1, c ** (WH.base.uniformity - 1)))
-    return [counts.get(w, 0) * inv for w in range(1, max(counts) + 1)]
-
-
-def _derived_target(built: BuiltScenario, largest: BuiltScenario, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
-    """Limit law with rates read off the largest instance in the sweep (the
-    per-size instance for weighted scenarios, whose class rates move with c)."""
-    if built.kind == "multiplex":
-        rates = {
-            frozenset({i + 1}): mean_T(layer, c_largest)
-            for i, layer in enumerate(largest.multiplex.layers)
-        }
-        return shared_component_law(
-            new_shared_component_spec(built.dimension, rates), tail_tol
-        )
-    if built.kind == "ap":
-        rate = ap_count_closed_form(largest.n, largest.ap_r) / c_largest ** (largest.ap_r - 1)
-        return poisson_law(rate, tail_tol)
-    if built.kind == "weighted":
-        return compound_weighted_law(_weight_class_rates(built.weighted, c), tail_tol)
-    if built.kind == "corr-er":
-        ep = largest.er_params
-        subsets = comb(largest.n, largest.uniformity)
-        lam = ep.p * subsets / c_largest
-        lam12 = ep.p12 * subsets / c_largest
-        rates = {
-            frozenset({1}): lam - lam12,
-            frozenset({2}): lam - lam12,
-            frozenset({1, 2}): lam12,
-        }
-        return shared_component_law(new_shared_component_spec(2, rates), tail_tol)
-    raise ValidationError(f"targets: derived target unsupported for scenario kind {built.kind!r}")
-
-
-def resolve_target(
-    tspec: dict,
-    built: BuiltScenario,
-    largest: BuiltScenario,
-    c_largest: int,
-    c: int,
-    tail_tol: float,
-) -> DiscreteLaw:
-    kind = tspec["kind"]
-    if kind == "poisson":
-        return poisson_law(float(tspec["rate"]), tail_tol)
-    if kind == "binom2-poisson":
-        return binom2_poisson_law(float(tspec["rate"]), tail_tol)
-    if kind == "shared":
-        return _shared_law_from_rates(built.dimension, tspec["rates"], tail_tol)
-    if kind == "compound":
-        by_weight = {int(w): float(rate) for w, rate in tspec["rates"].items()}
-        dense = [by_weight.get(w, 0.0) for w in range(1, max(by_weight) + 1)]
-        return compound_weighted_law(dense, tail_tol)
-    return _derived_target(built, largest, c_largest, c, tail_tol)
-
-
-def appendix_b_limit_laws(n: int, lam: float, c: int, tail_tol: float) -> dict[str, DiscreteLaw]:
-    """Triple-overlap vs pairwise-overlap limit laws at the finite-n rates."""
-    m = int(lam * n)
-    li = comb(n, 2) / c
-    lp = comb(m, 2) / c
-    nested = {
-        frozenset({1}): li - lp,
-        frozenset({2}): li - lp,
-        frozenset({3}): li - lp,
-        frozenset({1, 2, 3}): lp,
-    }
-    pairwise = {
-        frozenset({1}): li - 2 * lp,
-        frozenset({2}): li - 2 * lp,
-        frozenset({3}): li - 2 * lp,
-        frozenset({1, 2}): lp,
-        frozenset({1, 3}): lp,
-        frozenset({2, 3}): lp,
-    }
-    return {
-        "nested": shared_component_law(new_shared_component_spec(3, nested), tail_tol),
-        "pairwise": shared_component_law(new_shared_component_spec(3, pairwise), tail_tol),
-    }
-
-
-# ---------------------------------------------------------------------------
 # the compare runner
-
-
-def _law_for(built: BuiltScenario, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
-    cfg = new_simulation_config(c, spec.replicates, seed, spec.shards)
-    if spec.law == "exact":
-        if built.kind == "multiplex":
-            return exact_law(built.multiplex, c)
-        if built.kind == "weighted":
-            return exact_law_weighted(built.weighted, c)
-        if built.kind == "ap":
-            M = new_multiplex([ap_hypergraph(range(1, built.n + 1), built.ap_r)])
-            return exact_law(M, c)
-        raise ValidationError(
-            f"law: exact enumeration unavailable for scenario kind {built.kind!r}"
-        )
-    if built.kind == "multiplex":
-        return simulate_T(built.multiplex, cfg).law
-    if built.kind == "weighted":
-        return simulate_W(built.weighted, cfg).law
-    if built.kind == "ap":
-        return simulate_ap_T(built.n, built.ap_r, cfg).law
-    if built.kind == "corr-er":
-        return simulate_correlated_er_T(built.er_params, cfg).law
-    raise ValidationError(f"law: no single law for scenario kind {built.kind!r}")
 
 
 def _gaps(a: DiscreteLaw, b: DiscreteLaw) -> tuple[float, float]:
@@ -503,36 +557,10 @@ def run_compare(spec: ExperimentSpec) -> list[dict]:
     n_largest = max(spec.sizes)
     rows: list[dict] = []
     for n in spec.sizes:
-        built = built_by_n[n]
-        c = c_by_n[n]
         t0 = time.perf_counter()
-        if built.kind == "pair":
-            lam = float(_param(spec.params, "lam", 0.2))
-            limits = appendix_b_limit_laws(n, lam, c, spec.tail_tol)
-            emp = {}
-            for offset, name in enumerate(sorted(built.variants)):
-                cfg = new_simulation_config(
-                    c, spec.replicates, (spec.seed + offset) % 2**64, spec.shards
-                )
-                M = built.variants[name]
-                if spec.law == "exact":
-                    emp[name] = exact_law(M, c)
-                else:
-                    emp[name] = simulate_T(M, cfg).law
-                rows.append(_compare_row(n, c, name, emp[name], limits[name]))
-            cross = _compare_row(n, c, "cross", emp["nested"], emp["pairwise"])
-            rows.append(cross)
-        else:
-            emp = _law_for(built, spec, c, spec.seed)
-            for tspec in spec.targets:
-                target = resolve_target(
-                    tspec, built, built_by_n[n_largest], c_by_n[n_largest], c, spec.tail_tol
-                )
-                rows.append(_compare_row(n, c, tspec["label"], emp, target))
-        runtime = time.perf_counter() - t0
-        for row in rows:
-            if row["n"] == n and "runtime_s" not in row:
-                row["runtime_s"] = round(runtime, 3)
+        size_rows = built_by_n[n].rows(spec, c_by_n[n], built_by_n[n_largest], c_by_n[n_largest])
+        runtime = round(time.perf_counter() - t0, 3)
+        rows.extend(dict(row, runtime_s=runtime) for row in size_rows)
     return rows
 
 
@@ -549,130 +577,110 @@ def rows_to_csv(rows: list[dict]) -> str:
 def write_run(spec: ExperimentSpec, rows: list[dict], out_dir: str | Path, fmt: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {}
     if fmt == "csv":
         table = out / "results.csv"
         table.write_text(rows_to_csv(rows))
     else:
         table = out / "results.json"
         write_json(table, {"kind": "results", "rows": rows})
-    outputs["table"] = str(table)
-    manifest = RunManifest(
-        artifact_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        spec=spec_to_obj(spec),
-        results=tuple(rows),
-        outputs=dict(outputs),
-    )
     manifest_path = out / "manifest.json"
     write_json(
         manifest_path,
         {
             "kind": "run_manifest",
-            "artifact_version": manifest.artifact_version,
-            "created_utc": manifest.created_utc,
-            "spec": manifest.spec,
-            "results": list(manifest.results),
-            "outputs": manifest.outputs,
+            "artifact_version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "spec": spec_to_obj(spec),
+            "results": list(rows),
+            "outputs": {"table": str(table)},
         },
     )
-    outputs["manifest"] = str(manifest_path)
-    return outputs
+    return {"table": str(table), "manifest": str(manifest_path)}
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 
+# preset name -> new_experiment_spec arguments; every preset runs 100000
+# replicates from seed 20260816
+PRESETS = {
+    "birthday": dict(
+        scenario="complete-graph",
+        params={},
+        c_rule={"kind": "mean", "lam": 1.0},
+        sizes=(50, 100, 200),
+        targets=({"kind": "poisson", "rate": 1.0, "label": "pois-1"},),
+    ),
+    "edge-color": dict(
+        scenario="pattern-copies",
+        params={
+            "patterns": [
+                {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]},  # path P4
+                {"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3]]},  # star K1,3
+            ]
+        },
+        c_rule={"kind": "mean", "lam": 0.3},
+        sizes=(10, 14),
+        targets=({"kind": "derived", "label": "product-pois"},),
+    ),
+    "ap": dict(
+        scenario="ap",
+        params={"r": 3},
+        c_rule={"kind": "power", "lam": 1.0, "a": 1.0},
+        sizes=(100, 300, 1000),
+        targets=({"kind": "derived", "label": "pois-mean-largest"},),
+    ),
+    "corr-er": dict(
+        scenario="corr-er",
+        params={"r": 2, "p": 0.02, "rho": 0.0056},
+        c_rule={"kind": "mean", "lam": 1.0},
+        sizes=(100, 300),
+        targets=(
+            {
+                "kind": "shared",
+                "label": "shared-joint",
+                "rates": [
+                    {"subset": [1], "rate": 0.7},
+                    {"subset": [2], "rate": 0.7},
+                    {"subset": [1, 2], "rate": 0.3},
+                ],
+            },
+        ),
+    ),
+    "weighted": dict(
+        scenario="weighted-blocks",
+        params={"triangle_fraction": 0.3},
+        c_rule={"kind": "mean", "lam": 0.55},
+        sizes=(250, 500),
+        targets=({"kind": "derived", "label": "compound"},),
+    ),
+    "appendix-a": dict(
+        scenario="appendix-a",
+        params={},
+        c_rule={"kind": "power", "lam": 1.0, "a": 1.0},
+        sizes=(100, 200, 500),
+        targets=(
+            {"kind": "binom2-poisson", "rate": 1.0, "label": "binom2-pois-1"},
+            {"kind": "poisson", "rate": 0.5, "label": "pois-half"},
+        ),
+    ),
+    "appendix-b": dict(
+        scenario="appendix-b",
+        params={"lam": 0.2},
+        c_rule={"kind": "power", "lam": 1.0, "a": 2.0},
+        sizes=(200, 400),
+        targets=({"kind": "derived", "label": "shared-own"},),
+    ),
+}
+
+
 def preset_spec(name: str) -> ExperimentSpec:
-    if name == "birthday":
-        return new_experiment_spec(
-            "complete-graph",
-            {},
-            {"kind": "mean", "lam": 1.0},
-            (50, 100, 200),
-            100_000,
-            20260816,
-            targets=({"kind": "poisson", "rate": 1.0, "label": "pois-1"},),
+    if name not in PRESETS:
+        raise ValidationError(
+            f"preset: unknown preset {name!r} (expected one of {', '.join(PRESETS)})"
         )
-    if name == "edge-color":
-        path4 = {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
-        star3 = {"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
-        return new_experiment_spec(
-            "pattern-copies",
-            {"patterns": [path4, star3]},
-            {"kind": "mean", "lam": 0.3},
-            (10, 14),
-            100_000,
-            20260816,
-            targets=({"kind": "derived", "label": "product-pois"},),
-        )
-    if name == "ap":
-        return new_experiment_spec(
-            "ap",
-            {"r": 3},
-            {"kind": "power", "lam": 1.0, "a": 1.0},
-            (100, 300, 1000),
-            1_000_000,
-            20260816,
-            targets=({"kind": "derived", "label": "pois-mean-largest"},),
-        )
-    if name == "corr-er":
-        return new_experiment_spec(
-            "corr-er",
-            {"r": 2, "p": 0.02, "rho": 0.0056},
-            {"kind": "mean", "lam": 1.0},
-            (100, 300),
-            100_000,
-            20260816,
-            targets=(
-                {
-                    "kind": "shared",
-                    "label": "shared-joint",
-                    "rates": [
-                        {"subset": [1], "rate": 0.7},
-                        {"subset": [2], "rate": 0.7},
-                        {"subset": [1, 2], "rate": 0.3},
-                    ],
-                },
-            ),
-        )
-    if name == "weighted":
-        return new_experiment_spec(
-            "weighted-blocks",
-            {"triangle_fraction": 0.3},
-            {"kind": "mean", "lam": 0.55},
-            (250, 500),
-            100_000,
-            20260816,
-            targets=({"kind": "derived", "label": "compound"},),
-        )
-    if name == "appendix-a":
-        return new_experiment_spec(
-            "appendix-a",
-            {},
-            {"kind": "power", "lam": 1.0, "a": 1.0},
-            (100, 200, 500),
-            100_000,
-            20260816,
-            targets=(
-                {"kind": "binom2-poisson", "rate": 1.0, "label": "binom2-pois-1"},
-                {"kind": "poisson", "rate": 0.5, "label": "pois-half"},
-            ),
-        )
-    if name == "appendix-b":
-        return new_experiment_spec(
-            "appendix-b",
-            {"lam": 0.2},
-            {"kind": "power", "lam": 1.0, "a": 2.0},
-            (200, 400),
-            100_000,
-            20260816,
-            targets=({"kind": "derived", "label": "shared-own"},),
-        )
-    raise ValidationError(
-        f"preset: unknown preset {name!r} (expected one of {', '.join(PRESETS)})"
-    )
+    return new_experiment_spec(replicates=100_000, seed=20260816, **copy.deepcopy(PRESETS[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +690,9 @@ def preset_spec(name: str) -> ExperimentSpec:
 def cmd_construct(args) -> int:
     name = args.name
     if name == "ap":
-        H = ap_hypergraph(range(1, args.n + 1), args.r)
-        obj = hypergraph_to_obj(H)
+        obj = hypergraph_to_obj(ap_hypergraph(range(1, args.n + 1), args.r))
     elif name == "complete":
-        if args.n < 2:
-            raise ValidationError(f"--n: complete graph needs n >= 2, got {args.n}")
-        obj = hypergraph_to_obj(
-            new_hypergraph(2, args.n, [[i, j] for i in range(args.n) for j in range(i + 1, args.n)])
-        )
+        obj = hypergraph_to_obj(_complete(args.n))
     elif name == "appendix-a":
         obj = hypergraph_to_obj(appendix_star_hypergraph(args.n))
     elif name == "appendix-b":
@@ -705,10 +708,7 @@ def cmd_construct(args) -> int:
         )
     out = args.out or f"{name}-n{args.n}.json"
     write_json(out, obj)
-    if obj["kind"] == "multiplex":
-        sizes = "+".join(str(len(layer["edges"])) for layer in obj["layers"])
-    else:
-        sizes = str(len(obj["edges"]))
+    sizes = "+".join(str(len(layer["edges"])) for layer in obj.get("layers", [obj]))
     print(f"wrote {out} ({sizes} edges)")
     return 0
 
@@ -754,27 +754,22 @@ def _moment_report(structure, c: int, rational: bool) -> dict:
     raise ValidationError("moments: file must hold a hypergraph, multiplex, or weighted hypergraph")
 
 
-def cmd_moments(args) -> int:
-    structure = load_structure(args.file)
-    report = _moment_report(structure, args.c, args.rational)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return 0
-
-
-def cmd_preset(args) -> int:
-    spec = preset_spec(args.name)
-    obj = spec_to_obj(spec)
-    if args.out:
-        write_json(args.out, obj)
-        print(f"wrote {args.out}")
+def _emit(obj, out) -> int:
+    """Write obj as JSON to the file out, or print it when out is not given."""
+    if out:
+        write_json(out, obj)
+        print(f"wrote {out}")
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
     return 0
+
+
+def cmd_moments(args) -> int:
+    return _emit(_moment_report(load_structure(args.file), args.c, args.rational), args.out)
+
+
+def cmd_preset(args) -> int:
+    return _emit(spec_to_obj(preset_spec(args.name)), args.out)
 
 
 def cmd_compare(args) -> int:
@@ -784,17 +779,13 @@ def cmd_compare(args) -> int:
         spec = spec_from_obj(read_json(args.config), str(args.config))
     else:
         spec = preset_spec(args.preset)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.shards is not None:
-        overrides["shards"] = args.shards
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "replicates", "shards")
+        if getattr(args, key) is not None
+    }
     if overrides:
-        obj = spec_to_obj(spec)
-        obj.update(overrides)
-        spec = spec_from_obj(obj)
+        spec = spec_from_obj({**spec_to_obj(spec), **overrides})
     rows = run_compare(spec)
     outputs = write_run(spec, rows, args.out, args.format)
     for row in rows:

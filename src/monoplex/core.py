@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, ...]
 
@@ -195,36 +195,64 @@ def m_t(s: Iterable[int], H: UniformHypergraph) -> int:
     return sum(1 for e in H.edges if sub.issubset(e))
 
 
-def _subset_pair_counts(H: UniformHypergraph) -> dict[int, int]:
-    """A_j = number of unordered pairs of distinct edges whose intersection
-    contains some fixed j-subset, summed over all j-subsets, for j in [1, r-1].
+def _subset_sums(edges: Iterable[Edge], weights: Iterable[int] | None, j: int) -> Counter[Edge]:
+    """Weight sum over the edges containing each j-subset, keyed by the
+    subset; weights None counts each edge once."""
+    subsets = (itertools.combinations(e, j) for e in edges)
+    if weights is None:
+        return Counter(itertools.chain.from_iterable(subsets))
+    sums: Counter[Edge] = Counter()
+    for edge_subsets, w in zip(subsets, weights):
+        for s in edge_subsets:
+            sums[s] += w
+    return sums
+
+
+def _overlap_sums(
+    H1: UniformHypergraph,
+    w1: Sequence[int] | None,
+    H2: UniformHypergraph | None = None,
+    w2: Sequence[int] | None = None,
+) -> dict[int, int]:
+    """Sum of w(e1)*w(e2) over ordered edge pairs by exact intersection size
+    t; weights None weigh every edge 1, so the sums count pairs.
+
+    With H2 None the pairs are distinct edges of H1, t in [0, r-1]; otherwise
+    they are cross pairs (e1 in H1, e2 in H2), t in [0, min(r1, r2)], and
+    e1 = e2 lands at t = r. A_j = sum over j-subsets s of S1(s)*S2(s) covers
+    the ordered pairs whose intersection contains s, so A_j = sum_{i>=j}
+    C(i,j) P_i, and binomial inversion gives P_t = sum_{j>=t} (-1)^(j-t)
+    C(j,t) A_j. Without H2 each edge pairs with itself in C(r,j) of its
+    j-subsets, so A_j drops C(r,j) * sum w^2.
     """
+    distinct = H2 is None
+    if distinct:
+        H2, w2 = H1, w1
+    elif H1.num_vertices != H2.num_vertices:
+        raise ValidationError(
+            f"num_vertices mismatch: {H1.num_vertices} != {H2.num_vertices}"
+        )
+    top = H1.uniformity - 1 if distinct else min(H1.uniformity, H2.uniformity)
+    total1 = H1.num_edges if w1 is None else sum(w1)
+    total2 = H2.num_edges if w2 is None else sum(w2)
+    self_sq = 0
+    if distinct:
+        self_sq = H1.num_edges if w1 is None else sum(w * w for w in w1)
+    A: dict[int, int] = {}
+    for j in range(1, top + 1):
+        s1 = _subset_sums(H1.edges, w1, j)
+        s2 = s1 if distinct else _subset_sums(H2.edges, w2, j)
+        A[j] = sum(v * s2.get(s, 0) for s, v in s1.items()) - comb(H1.uniformity, j) * self_sq
     out: dict[int, int] = {}
-    for j in range(1, H.uniformity):
-        counts: Counter[Edge] = Counter()
-        for e in H.edges:
-            for s in itertools.combinations(e, j):
-                counts[s] += 1
-        out[j] = sum(m * (m - 1) // 2 for m in counts.values())
+    for t in range(1, top + 1):
+        out[t] = sum((-1) ** (j - t) * comb(j, t) * A[j] for j in range(t, top + 1))
+    out[0] = total1 * total2 - self_sq - sum(out.values())
     return out
 
 
 def k_exact_all(H: UniformHypergraph) -> dict[int, int]:
-    """Ordered pairs of distinct edges by exact intersection size, t in [0, r-1].
-
-    Uses the subset-indexed method: with A_j as in _subset_pair_counts,
-    unordered pairs at exactly t are sum_{j>=t} (-1)^(j-t) C(j,t) A_j
-    (binomial inversion of A_j = sum_{i>=j} C(i,j) P_i).
-    """
-    r = H.uniformity
-    A = _subset_pair_counts(H)
-    out: dict[int, int] = {}
-    for t in range(1, r):
-        unordered = sum((-1) ** (j - t) * comb(j, t) * A[j] for j in range(t, r))
-        out[t] = 2 * unordered
-    m = H.num_edges
-    out[0] = m * (m - 1) - sum(out[t] for t in range(1, r))
-    return out
+    """Ordered pairs of distinct edges by exact intersection size, t in [0, r-1]."""
+    return _overlap_sums(H, None)
 
 
 def k_exact(t: int, H: UniformHypergraph) -> int:
@@ -253,27 +281,7 @@ def k_cross_all(H1: UniformHypergraph, H2: UniformHypergraph) -> dict[int, int]:
     Keys t in [0, min(r1, r2)]. Pairs with e1 = e2 (possible only when
     r1 = r2) land at t = r and are included.
     """
-    if H1.num_vertices != H2.num_vertices:
-        raise ValidationError(
-            f"num_vertices mismatch: {H1.num_vertices} != {H2.num_vertices}"
-        )
-    rmin = min(H1.uniformity, H2.uniformity)
-    A: dict[int, int] = {}
-    for j in range(1, rmin + 1):
-        c1: Counter[Edge] = Counter()
-        for e in H1.edges:
-            for s in itertools.combinations(e, j):
-                c1[s] += 1
-        c2: Counter[Edge] = Counter()
-        for e in H2.edges:
-            for s in itertools.combinations(e, j):
-                c2[s] += 1
-        A[j] = sum(m * c2.get(s, 0) for s, m in c1.items())
-    out: dict[int, int] = {}
-    for t in range(1, rmin + 1):
-        out[t] = sum((-1) ** (j - t) * comb(j, t) * A[j] for j in range(t, rmin + 1))
-    out[0] = H1.num_edges * H2.num_edges - sum(out[t] for t in range(1, rmin + 1))
-    return out
+    return _overlap_sums(H1, None, H2, None)
 
 
 def k_cross(t: int, H1: UniformHypergraph, H2: UniformHypergraph) -> int:
@@ -304,29 +312,8 @@ def k_cross_pairwise(t: int, H1: UniformHypergraph, H2: UniformHypergraph) -> in
 
 def weighted_pair_sums_all(WH: WeightedUniformHypergraph) -> dict[int, int]:
     """Sum of w_{e1}*w_{e2} over ordered pairs of distinct edges with
-    |e1 & e2| = t exactly, keyed by t in [0, r-1]. Exact integer arithmetic.
-
-    Same subset-indexed inversion as k_exact_all, with per-subset weight sums
-    S1 and weight-square sums S2: ordered pairs containing s contribute
-    S1(s)^2 - S2(s).
-    """
-    r = WH.base.uniformity
-    A: dict[int, int] = {}
-    for j in range(1, r):
-        s1: Counter[Edge] = Counter()
-        s2: Counter[Edge] = Counter()
-        for e, w in zip(WH.base.edges, WH.weights):
-            for s in itertools.combinations(e, j):
-                s1[s] += w
-                s2[s] += w * w
-        A[j] = sum(v * v - s2[s] for s, v in s1.items())
-    out: dict[int, int] = {}
-    for t in range(1, r):
-        out[t] = sum((-1) ** (j - t) * comb(j, t) * A[j] for j in range(t, r))
-    total = sum(WH.weights)
-    total_sq = sum(w * w for w in WH.weights)
-    out[0] = total * total - total_sq - sum(out[t] for t in range(1, r))
-    return out
+    |e1 & e2| = t exactly, keyed by t in [0, r-1]. Exact integer arithmetic."""
+    return _overlap_sums(WH.base, WH.weights)
 
 
 def weighted_pair_sums_pairwise(t: int, WH: WeightedUniformHypergraph) -> int:
@@ -364,13 +351,7 @@ def truncation_split(H: UniformHypergraph, eps: float, c: int) -> TruncationSpli
     r = H.uniformity
     if r == 2:
         return TruncationSplit(H.edges, (), False)
-    counts: dict[int, Counter[Edge]] = {}
-    for t in range(2, r):
-        ct: Counter[Edge] = Counter()
-        for e in H.edges:
-            for s in itertools.combinations(e, t):
-                ct[s] += 1
-        counts[t] = ct
+    counts = {t: _subset_sums(H.edges, None, t) for t in range(2, r)}
     kept: list[Edge] = []
     removed: list[Edge] = []
     for e in H.edges:
@@ -391,19 +372,17 @@ def _check_length(H_or_n: int, x: Coloring) -> None:
         )
 
 
+def _monochromatic(edges: Iterable[Edge], colors: Sequence[int]) -> Iterator[bool]:
+    """Per edge, whether all its vertices share one color."""
+    for e in edges:
+        a = colors[e[0]]
+        yield all(colors[v] == a for v in e[1:])
+
+
 def count_monochromatic(H: UniformHypergraph, x: Coloring) -> int:
     """Number of edges whose vertices all share one color under x."""
     _check_length(H.num_vertices, x)
-    colors = x.colors
-    total = 0
-    for e in H.edges:
-        a = colors[e[0]]
-        for v in e[1:]:
-            if colors[v] != a:
-                break
-        else:
-            total += 1
-    return total
+    return sum(_monochromatic(H.edges, x.colors))
 
 
 def count_monochromatic_vector(M: Multiplex, x: Coloring) -> tuple[int, ...]:
@@ -415,33 +394,14 @@ def count_monochromatic_vector(M: Multiplex, x: Coloring) -> tuple[int, ...]:
 def count_weighted(WH: WeightedUniformHypergraph, x: Coloring) -> int:
     """Weight sum over monochromatic edges."""
     _check_length(WH.base.num_vertices, x)
-    colors = x.colors
-    total = 0
-    for e, w in zip(WH.base.edges, WH.weights):
-        a = colors[e[0]]
-        for v in e[1:]:
-            if colors[v] != a:
-                break
-        else:
-            total += w
-    return total
+    return sum(itertools.compress(WH.weights, _monochromatic(WH.base.edges, x.colors)))
 
 
 def count_monochromatic_split(
     kept: Sequence[Edge], removed: Sequence[Edge], x: Coloring
 ) -> tuple[int, int]:
     """Monochromatic counts over the two parts of a truncation split."""
-
-    def part(edges: Sequence[Edge]) -> int:
-        colors = x.colors
-        total = 0
-        for e in edges:
-            a = colors[e[0]]
-            if all(colors[v] == a for v in e[1:]):
-                total += 1
-        return total
-
-    return part(kept), part(removed)
+    return sum(_monochromatic(kept, x.colors)), sum(_monochromatic(removed, x.colors))
 
 
 def connected_components(edges: Iterable[Sequence[int]]) -> list[frozenset[int]]:

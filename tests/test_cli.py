@@ -1,13 +1,17 @@
 """Command-line interface: construct, moments, preset, compare."""
 
+import importlib.util
 import json
 from math import exp
 from pathlib import Path
 
 import pytest
 
+import monoplex.moments
+from monoplex import cli
 from monoplex.cli import (
     PRESETS,
+    SCENARIOS,
     BuiltScenario,
     build_scenario,
     main,
@@ -19,11 +23,13 @@ from monoplex.cli import (
     spec_to_obj,
 )
 from monoplex.core import ValidationError
+from monoplex.laws import law_moments
 from monoplex.serialize import load_structure, read_json, write_json
 from monoplex.simulate import _choose_backend, new_simulation_config, simulate_T
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
 
 
 def run_cli(*argv):
@@ -321,6 +327,43 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             make_spec(law="guess")
 
+    PATH3 = {"num_vertices": 3, "edges": [[0, 1], [1, 2]]}
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"targets": [{"kind": "poisson", "label": "p"}]}, "targets[0].rate"),
+            ({"targets": [{"kind": "poisson", "label": "p", "rate": "abc"}]}, "targets[0].rate"),
+            ({"targets": [{"kind": "shared", "label": "s"}]}, "targets[0].rates"),
+            ({"targets": [{"kind": "compound", "label": "w", "rates": {}}]}, "targets[0].rates"),
+            ({"params": 5}, "params"),
+            ({"c_rule": [1]}, "c_rule"),
+            (
+                {"scenario": "pattern-copies", "params": {"patterns": [{"edges": PATH3["edges"]}]}},
+                "params.patterns[0].num_vertices",
+            ),
+            ({"params": {"r": "3"}}, "params.r"),
+        ],
+        ids=[
+            "poisson-without-rate",
+            "rate-not-a-number",
+            "shared-without-rates",
+            "compound-empty-rates",
+            "params-not-an-object",
+            "c_rule-not-an-object",
+            "pattern-without-num_vertices",
+            "ap-r-a-string",
+        ],
+    )
+    def test_malformed_spec_file_exits_2(self, change, field, tmp_path, capsys):
+        obj = spec_to_obj(make_spec())
+        obj.update(change)
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, obj)
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
 
 class TestScenarioPlumbing:
     def test_mean_rule_birthday(self):
@@ -330,14 +373,22 @@ class TestScenarioPlumbing:
 
     def test_mean_rule_exact_powers(self):
         rule = {"kind": "mean", "lam": 1.0}
-        assert resolve_colors(rule, BuiltScenario("multiplex", 6, 1, 6, 3125)) == 5
-        assert resolve_colors(rule, BuiltScenario("multiplex", 11, 1, 11, 5**10)) == 5
-        assert resolve_colors(rule, BuiltScenario("multiplex", 6, 1, 6, 3126)) == 6
+        assert resolve_colors(rule, BuiltScenario(6, 1, 6, 3125)) == 5
+        assert resolve_colors(rule, BuiltScenario(11, 1, 11, 5**10)) == 5
+        assert resolve_colors(rule, BuiltScenario(6, 1, 6, 3126)) == 6
 
     def test_power_rule(self):
         spec = preset_spec("appendix-b")
         built = build_scenario(spec, 200)
         assert resolve_colors(spec.c_rule, built) == 40000
+
+    def test_power_rule_exact_in_decimal(self):
+        # 1.1 * 100 is 110.00000000000001 in floats
+        built = BuiltScenario(100, 1, 2, 4950)
+        assert resolve_colors({"kind": "power", "lam": 1.1, "a": 1}, built) == 110
+        assert resolve_colors({"kind": "power", "lam": 1.1, "a": 1.0}, built) == 110
+        assert resolve_colors({"kind": "power", "lam": 1.1, "a": 2}, built) == 11000
+        assert resolve_colors({"kind": "power", "lam": 1.1, "a": -1}, built) == 1
 
     def test_auto_backend_for_preset_graph_layers(self):
         picks = {}
@@ -346,8 +397,8 @@ class TestScenarioPlumbing:
             for n in spec.sizes:
                 built = build_scenario(spec, n)
                 c = resolve_colors(spec.c_rule, built)
-                variants = built.variants or {}
-                for M in [built.multiplex] if built.multiplex else variants.values():
+                variants = getattr(built, "variants", {})
+                for M in [built.multiplex] if hasattr(built, "multiplex") else variants.values():
                     for layer in M.layers:
                         if layer.uniformity == 2:
                             pick = _choose_backend(layer, c, "auto")
@@ -371,6 +422,19 @@ class TestScenarioPlumbing:
         assert auto == simulate_T(M, cfg, backend="dense").law
         assert auto == simulate_T(M, cfg, backend="pair-class").law
 
+    def test_corr_er_derived_rates_scale_with_uniformity(self):
+        # per-layer mean p * C(n, r) / c^(r-1): 0.2 * 120 / 16 at n=10, r=3, c=4
+        spec = make_spec(
+            scenario="corr-er",
+            params={"r": 3, "p": 0.2, "rho": 0.05},
+            c_rule={"kind": "fixed", "value": 4},
+            sizes=(10,),
+            law="simulate",
+        )
+        built = build_scenario(spec, 10)
+        means = law_moments(built.derived(built, 4, 4, spec.tail_tol)).means
+        assert means == pytest.approx([1.5, 1.5], abs=1e-9)
+
     def test_weighted_blocks_classes(self):
         spec = preset_spec("weighted")
         built = build_scenario(spec, 20)
@@ -383,3 +447,61 @@ class TestScenarioPlumbing:
         rows = run_compare(spec)
         assert [r["n"] for r in rows] == [4, 3]
         assert all("runtime_s" in r for r in rows)
+
+
+EXACT_PARAMS = {
+    "complete-graph": ({}, 5),
+    "pattern-copies": ({"patterns": [TestSpecValidation.PATH3]}, 4),
+    "ap": ({"r": 3}, 7),
+    "corr-er": ({"r": 2, "p": 0.2, "rho": 0.05}, 5),
+    "weighted-blocks": ({"triangle_fraction": 0.5}, 2),
+    "appendix-a": ({}, 5),
+    "appendix-b": ({"lam": 0.2}, 5),
+}
+
+
+class TestScenarioLaws:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_exact_law(self, scenario, tmp_path, capsys):
+        params, n = EXACT_PARAMS[scenario]
+        spec = make_spec(
+            scenario=scenario,
+            params=params,
+            sizes=(n,),
+            targets=({"kind": "derived", "label": "limit"},),
+        )
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(spec))
+        out = tmp_path / "run"
+        code = run_cli("compare", "--config", cfg, "--out", out)
+        if scenario == "corr-er":
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "exact" in err and "unavailable" in err
+        else:
+            assert code == 0
+            rows = (out / "results.csv").read_text().strip().splitlines()[1:]
+            assert len(rows) == (3 if scenario == "appendix-b" else 1)
+
+    def test_bench_layers_are_cli_attributes(self):
+        loader = importlib.util.spec_from_file_location("bench_spans", SPANS)
+        spans = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(spans)
+        assert [a for a in spans.CLI_LAYERS if not hasattr(cli, a)] == []
+        assert [a for a in spans.MOMENTS_LAYERS if not hasattr(monoplex.moments, a)] == []
+
+    @pytest.mark.parametrize("name, law", [("simulate_T", "simulate"), ("exact_law", "exact")])
+    def test_law_calls_go_through_module_globals(self, name, law, monkeypatch, tmp_path):
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        spec = make_spec(scenario="complete-graph", params={}, sizes=(5,), law=law)
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(spec))
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 0
+        assert calls == [name]
