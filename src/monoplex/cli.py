@@ -602,14 +602,15 @@ def write_run(spec: ExperimentSpec, rows: list[dict], out_dir: str | Path, fmt: 
 # presets
 
 
-# preset name -> new_experiment_spec arguments; every preset runs 100000
-# replicates from seed 20260816
+# preset name -> new_experiment_spec arguments; every preset draws from seed
+# 20260816
 PRESETS = {
     "birthday": dict(
         scenario="complete-graph",
         params={},
         c_rule={"kind": "mean", "lam": 1.0},
         sizes=(50, 100, 200),
+        replicates=100_000,
         targets=({"kind": "poisson", "rate": 1.0, "label": "pois-1"},),
     ),
     "edge-color": dict(
@@ -622,6 +623,7 @@ PRESETS = {
         },
         c_rule={"kind": "mean", "lam": 0.3},
         sizes=(10, 14),
+        replicates=100_000,
         targets=({"kind": "derived", "label": "product-pois"},),
     ),
     "ap": dict(
@@ -629,6 +631,7 @@ PRESETS = {
         params={"r": 3},
         c_rule={"kind": "power", "lam": 1.0, "a": 1.0},
         sizes=(100, 300, 1000),
+        replicates=1_000_000,
         targets=({"kind": "derived", "label": "pois-mean-largest"},),
     ),
     "corr-er": dict(
@@ -636,6 +639,7 @@ PRESETS = {
         params={"r": 2, "p": 0.02, "rho": 0.0056},
         c_rule={"kind": "mean", "lam": 1.0},
         sizes=(100, 300),
+        replicates=100_000,
         targets=(
             {
                 "kind": "shared",
@@ -653,6 +657,7 @@ PRESETS = {
         params={"triangle_fraction": 0.3},
         c_rule={"kind": "mean", "lam": 0.55},
         sizes=(250, 500),
+        replicates=100_000,
         targets=({"kind": "derived", "label": "compound"},),
     ),
     "appendix-a": dict(
@@ -660,6 +665,7 @@ PRESETS = {
         params={},
         c_rule={"kind": "power", "lam": 1.0, "a": 1.0},
         sizes=(100, 200, 500),
+        replicates=100_000,
         targets=(
             {"kind": "binom2-poisson", "rate": 1.0, "label": "binom2-pois-1"},
             {"kind": "poisson", "rate": 0.5, "label": "pois-half"},
@@ -670,6 +676,7 @@ PRESETS = {
         params={"lam": 0.2},
         c_rule={"kind": "power", "lam": 1.0, "a": 2.0},
         sizes=(200, 400),
+        replicates=100_000,
         targets=({"kind": "derived", "label": "shared-own"},),
     ),
 }
@@ -680,7 +687,7 @@ def preset_spec(name: str) -> ExperimentSpec:
         raise ValidationError(
             f"preset: unknown preset {name!r} (expected one of {', '.join(PRESETS)})"
         )
-    return new_experiment_spec(replicates=100_000, seed=20260816, **copy.deepcopy(PRESETS[name]))
+    return new_experiment_spec(seed=20260816, **copy.deepcopy(PRESETS[name]))
 
 
 # ---------------------------------------------------------------------------

@@ -211,48 +211,41 @@ def _subset_sums(edges: Iterable[Edge], weights: Iterable[int] | None, j: int) -
 def _overlap_sums(
     H1: UniformHypergraph,
     w1: Sequence[int] | None,
-    H2: UniformHypergraph | None = None,
-    w2: Sequence[int] | None = None,
+    H2: UniformHypergraph,
+    w2: Sequence[int] | None,
 ) -> dict[int, int]:
-    """Sum of w(e1)*w(e2) over ordered edge pairs by exact intersection size
-    t; weights None weigh every edge 1, so the sums count pairs.
+    """Sum of w(e1)*w(e2) over ordered cross pairs (e1 in H1, e2 in H2) by
+    exact intersection size t in [0, min(r1, r2)]; weights None weigh every
+    edge 1, so the sums count pairs. Pairs with e1 = e2 land at t = r.
 
-    With H2 None the pairs are distinct edges of H1, t in [0, r-1]; otherwise
-    they are cross pairs (e1 in H1, e2 in H2), t in [0, min(r1, r2)], and
-    e1 = e2 lands at t = r. A_j = sum over j-subsets s of S1(s)*S2(s) covers
-    the ordered pairs whose intersection contains s, so A_j = sum_{i>=j}
-    C(i,j) P_i, and binomial inversion gives P_t = sum_{j>=t} (-1)^(j-t)
-    C(j,t) A_j. Without H2 each edge pairs with itself in C(r,j) of its
-    j-subsets, so A_j drops C(r,j) * sum w^2.
+    A_j = sum over j-subsets s of S1(s)*S2(s) covers the ordered pairs whose
+    intersection contains s, so A_j = sum_{i>=j} C(i,j) P_i, and binomial
+    inversion gives P_t = sum_{j>=t} (-1)^(j-t) C(j,t) A_j.
     """
-    distinct = H2 is None
-    if distinct:
-        H2, w2 = H1, w1
-    elif H1.num_vertices != H2.num_vertices:
+    if H1.num_vertices != H2.num_vertices:
         raise ValidationError(
             f"num_vertices mismatch: {H1.num_vertices} != {H2.num_vertices}"
         )
-    top = H1.uniformity - 1 if distinct else min(H1.uniformity, H2.uniformity)
-    total1 = H1.num_edges if w1 is None else sum(w1)
-    total2 = H2.num_edges if w2 is None else sum(w2)
-    self_sq = 0
-    if distinct:
-        self_sq = H1.num_edges if w1 is None else sum(w * w for w in w1)
+    top = min(H1.uniformity, H2.uniformity)
     A: dict[int, int] = {}
     for j in range(1, top + 1):
         s1 = _subset_sums(H1.edges, w1, j)
-        s2 = s1 if distinct else _subset_sums(H2.edges, w2, j)
-        A[j] = sum(v * s2.get(s, 0) for s, v in s1.items()) - comb(H1.uniformity, j) * self_sq
+        s2 = s1 if H2 is H1 and w2 is w1 else _subset_sums(H2.edges, w2, j)
+        A[j] = sum(v * s2.get(s, 0) for s, v in s1.items())
     out: dict[int, int] = {}
     for t in range(1, top + 1):
         out[t] = sum((-1) ** (j - t) * comb(j, t) * A[j] for j in range(t, top + 1))
-    out[0] = total1 * total2 - self_sq - sum(out.values())
+    total1 = H1.num_edges if w1 is None else sum(w1)
+    total2 = H2.num_edges if w2 is None else sum(w2)
+    out[0] = total1 * total2 - sum(out.values())
     return out
 
 
 def k_exact_all(H: UniformHypergraph) -> dict[int, int]:
     """Ordered pairs of distinct edges by exact intersection size, t in [0, r-1]."""
-    return _overlap_sums(H, None)
+    counts = _overlap_sums(H, None, H, None)
+    del counts[H.uniformity]  # the pairs e1 = e2
+    return counts
 
 
 def k_exact(t: int, H: UniformHypergraph) -> int:
@@ -313,7 +306,9 @@ def k_cross_pairwise(t: int, H1: UniformHypergraph, H2: UniformHypergraph) -> in
 def weighted_pair_sums_all(WH: WeightedUniformHypergraph) -> dict[int, int]:
     """Sum of w_{e1}*w_{e2} over ordered pairs of distinct edges with
     |e1 & e2| = t exactly, keyed by t in [0, r-1]. Exact integer arithmetic."""
-    return _overlap_sums(WH.base, WH.weights)
+    sums = _overlap_sums(WH.base, WH.weights, WH.base, WH.weights)
+    del sums[WH.base.uniformity]  # the pairs e1 = e2
+    return sums
 
 
 def weighted_pair_sums_pairwise(t: int, WH: WeightedUniformHypergraph) -> int:

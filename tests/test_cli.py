@@ -115,6 +115,26 @@ class TestPreset:
         again = spec_to_obj(spec_from_obj(json.loads(json.dumps(obj))))
         assert again == obj
 
+    # TestGoldenOutputs overrides the replicate count, so it is pinned here
+    @pytest.mark.parametrize(
+        "name, scenario, sizes, replicates",
+        [
+            ("birthday", "complete-graph", (50, 100, 200), 100_000),
+            ("edge-color", "pattern-copies", (10, 14), 100_000),
+            ("ap", "ap", (100, 300, 1000), 1_000_000),
+            ("corr-er", "corr-er", (100, 300), 100_000),
+            ("weighted", "weighted-blocks", (250, 500), 100_000),
+            ("appendix-a", "appendix-a", (100, 200, 500), 100_000),
+            ("appendix-b", "appendix-b", (200, 400), 100_000),
+        ],
+    )
+    def test_run_settings(self, name, scenario, sizes, replicates):
+        obj = spec_to_obj(preset_spec(name))
+        assert obj["scenario"] == scenario
+        assert tuple(obj["sizes"]) == sizes
+        assert obj["replicates"] == replicates
+        assert (obj["seed"], obj["shards"], obj["law"]) == (20260816, 1, "simulate")
+
     def test_unknown_lists_presets(self, capsys):
         assert run_cli("preset", "party") == 2
         err = capsys.readouterr().err
