@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,8 @@ from monoplex.laws import (
     shared_component_law,
     tv_distance,
 )
+# condition_ratios is unused here (variance_T's report carries the ratios);
+# it stays importable from this module, whose calls bench/spans.py wraps.
 from monoplex.moments import (
     condition_ratios,
     mean_T,
@@ -252,12 +254,16 @@ class BuiltScenario:
     ref_count: float  # reference edge/weight total driving the mean color rule
 
     def rows(self, spec: ExperimentSpec, c: int, largest: BuiltScenario, c_largest: int) -> list[dict]:
-        """One comparison row per target of the spec."""
+        """One comparison row per target of the spec. The targets are built
+        and checked first, so a mismatched one fails before the law is computed."""
+        targets = [(t["label"], self.target(t, largest, c_largest, c, spec.tail_tol)) for t in spec.targets]
+        for label, target in targets:
+            if target.dimension != self.dimension:
+                raise ValidationError(
+                    f"targets[{label}]: dimension {target.dimension} != scenario dimension {self.dimension}"
+                )
         emp = self.law(spec, c, spec.seed)
-        return [
-            _compare_row(self.n, c, t["label"], emp, self.target(t, largest, c_largest, c, spec.tail_tol))
-            for t in spec.targets
-        ]
+        return [_compare_row(self.n, c, label, emp, target) for label, target in targets]
 
     def target(self, tspec: dict, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         """The limit law that one target of the spec names, at this size."""
@@ -499,7 +505,12 @@ def resolve_colors(c_rule: dict, built: BuiltScenario) -> int:
         return c_rule["value"]
     if kind == "power":
         lam, a = c_rule["lam"], c_rule["a"]
-        c = lam * built.n**a
+        try:
+            c = lam * float(built.n) ** a
+        except OverflowError:
+            c = inf
+        if not isfinite(c):
+            raise ValidationError(f"c_rule: lam * n^a is past float range at n = {built.n}")
         if c > 1 and float(a).is_integer():
             # exact from lam's decimal value, so 1.1 * 100 gives 110, not
             # 110.00000000000001; c > 1 keeps n^|a| within float range
@@ -534,10 +545,6 @@ def _gaps(a: DiscreteLaw, b: DiscreteLaw) -> tuple[float, float]:
 
 
 def _compare_row(n: int, c: int, label: str, emp: DiscreteLaw, target: DiscreteLaw) -> dict:
-    if emp.dimension != target.dimension:
-        raise ValidationError(
-            f"targets[{label}]: dimension {target.dimension} != scenario dimension {emp.dimension}"
-        )
     tv = float(tv_distance(emp, target))
     mean_gap, var_gap = _gaps(emp, target)
     return {
@@ -746,19 +753,16 @@ def _moment_report(structure, c: int, rational: bool) -> dict:
             "u1_term": conv(rep.u1_term),
             "u2_terms": {str(t): conv(x) for t, x in sorted(rep.u2_terms.items())},
         }
-    if isinstance(structure, UniformHypergraph):
-        rep = variance_T(structure, c, rational=rational)
-        ratios = condition_ratios(structure, c, rational=rational)
-        return {
-            "kind": "moments",
-            "c": c,
-            "mean": conv(mean_T(structure, c, rational=rational)),
-            "variance": conv(rep.variance),
-            "r1_term": conv(rep.r1_term),
-            "r2_terms": {str(t): conv(x) for t, x in sorted(rep.r2_terms.items())},
-            "condition_ratios": {str(t): conv(x) for t, x in sorted(ratios.ratios.items())},
-        }
-    raise ValidationError("moments: file must hold a hypergraph, multiplex, or weighted hypergraph")
+    rep = variance_T(structure, c, rational=rational)
+    return {
+        "kind": "moments",
+        "c": c,
+        "mean": conv(mean_T(structure, c, rational=rational)),
+        "variance": conv(rep.variance),
+        "r1_term": conv(rep.r1_term),
+        "r2_terms": {str(t): conv(x) for t, x in sorted(rep.r2_terms.items())},
+        "condition_ratios": {str(t): conv(x) for t, x in sorted(rep.ratios.items())},
+    }
 
 
 def _emit(obj, out) -> int:

@@ -208,37 +208,51 @@ def _subset_sums(edges: Iterable[Edge], weights: Iterable[int] | None, j: int) -
     return sums
 
 
+def _layer_sums(
+    H: UniformHypergraph, weights: Sequence[int] | None, top: int
+) -> tuple[int, list[Counter[Edge]]]:
+    """One layer's side of _pair_sums: its weight total (its edge count when
+    weights is None) and its j-subset sums for j = 1..top."""
+    total = H.num_edges if weights is None else sum(weights)
+    return total, [_subset_sums(H.edges, weights, j) for j in range(1, top + 1)]
+
+
+def _pair_sums(layer1, layer2) -> dict[int, int]:
+    """Sum of w(e1)*w(e2) over ordered cross pairs (e1 in H1, e2 in H2) by
+    exact intersection size t in [0, top], from the two layers' _layer_sums;
+    top is the smaller of their subset sizes. Pairs with e1 = e2 land at t = r.
+
+    A_j = sum over j-subsets s of S1(s)*S2(s) covers the ordered pairs whose
+    intersection contains s, so A_j = sum_{i>=j} C(i,j) P_i, and binomial
+    inversion gives P_t = sum_{j>=t} (-1)^(j-t) C(j,t) A_j.
+    """
+    (total1, sums1), (total2, sums2) = layer1, layer2
+    A = [sum(v * s2.get(s, 0) for s, v in s1.items()) for s1, s2 in zip(sums1, sums2)]
+    top = len(A)
+    out = {
+        t: sum((-1) ** (j - t) * comb(j, t) * A[j - 1] for j in range(t, top + 1))
+        for t in range(1, top + 1)
+    }
+    out[0] = total1 * total2 - sum(out.values())
+    return out
+
+
 def _overlap_sums(
     H1: UniformHypergraph,
     w1: Sequence[int] | None,
     H2: UniformHypergraph,
     w2: Sequence[int] | None,
 ) -> dict[int, int]:
-    """Sum of w(e1)*w(e2) over ordered cross pairs (e1 in H1, e2 in H2) by
-    exact intersection size t in [0, min(r1, r2)]; weights None weigh every
-    edge 1, so the sums count pairs. Pairs with e1 = e2 land at t = r.
-
-    A_j = sum over j-subsets s of S1(s)*S2(s) covers the ordered pairs whose
-    intersection contains s, so A_j = sum_{i>=j} C(i,j) P_i, and binomial
-    inversion gives P_t = sum_{j>=t} (-1)^(j-t) C(j,t) A_j.
-    """
+    """_pair_sums of two layers, t in [0, min(r1, r2)]; weights None weigh
+    every edge 1, so the sums count pairs."""
     if H1.num_vertices != H2.num_vertices:
         raise ValidationError(
             f"num_vertices mismatch: {H1.num_vertices} != {H2.num_vertices}"
         )
     top = min(H1.uniformity, H2.uniformity)
-    A: dict[int, int] = {}
-    for j in range(1, top + 1):
-        s1 = _subset_sums(H1.edges, w1, j)
-        s2 = s1 if H2 is H1 and w2 is w1 else _subset_sums(H2.edges, w2, j)
-        A[j] = sum(v * s2.get(s, 0) for s, v in s1.items())
-    out: dict[int, int] = {}
-    for t in range(1, top + 1):
-        out[t] = sum((-1) ** (j - t) * comb(j, t) * A[j] for j in range(t, top + 1))
-    total1 = H1.num_edges if w1 is None else sum(w1)
-    total2 = H2.num_edges if w2 is None else sum(w2)
-    out[0] = total1 * total2 - sum(out.values())
-    return out
+    layer1 = _layer_sums(H1, w1, top)
+    layer2 = layer1 if H2 is H1 and w2 is w1 else _layer_sums(H2, w2, top)
+    return _pair_sums(layer1, layer2)
 
 
 def k_exact_all(H: UniformHypergraph) -> dict[int, int]:
@@ -253,19 +267,6 @@ def k_exact(t: int, H: UniformHypergraph) -> int:
     if t < 0 or t > H.uniformity - 1:
         raise ValidationError(f"t={t} out of range [0, {H.uniformity - 1}]")
     return k_exact_all(H)[t]
-
-
-def k_exact_pairwise(t: int, H: UniformHypergraph) -> int:
-    """Direct O(m^2) scan; test oracle for k_exact."""
-    if t < 0 or t > H.uniformity - 1:
-        raise ValidationError(f"t={t} out of range [0, {H.uniformity - 1}]")
-    sets = [frozenset(e) for e in H.edges]
-    count = 0
-    for i, e1 in enumerate(sets):
-        for j, e2 in enumerate(sets):
-            if i != j and len(e1 & e2) == t:
-                count += 1
-    return count
 
 
 def k_cross_all(H1: UniformHypergraph, H2: UniformHypergraph) -> dict[int, int]:
@@ -284,42 +285,12 @@ def k_cross(t: int, H1: UniformHypergraph, H2: UniformHypergraph) -> int:
     return k_cross_all(H1, H2)[t]
 
 
-def k_cross_pairwise(t: int, H1: UniformHypergraph, H2: UniformHypergraph) -> int:
-    """Direct O(m1*m2) scan; test oracle for k_cross."""
-    if H1.num_vertices != H2.num_vertices:
-        raise ValidationError(
-            f"num_vertices mismatch: {H1.num_vertices} != {H2.num_vertices}"
-        )
-    rmin = min(H1.uniformity, H2.uniformity)
-    if t < 0 or t > rmin:
-        raise ValidationError(f"t={t} out of range [0, {rmin}]")
-    sets2 = [frozenset(e) for e in H2.edges]
-    count = 0
-    for e1 in H1.edges:
-        f1 = frozenset(e1)
-        for f2 in sets2:
-            if len(f1 & f2) == t:
-                count += 1
-    return count
-
-
 def weighted_pair_sums_all(WH: WeightedUniformHypergraph) -> dict[int, int]:
     """Sum of w_{e1}*w_{e2} over ordered pairs of distinct edges with
     |e1 & e2| = t exactly, keyed by t in [0, r-1]. Exact integer arithmetic."""
     sums = _overlap_sums(WH.base, WH.weights, WH.base, WH.weights)
     del sums[WH.base.uniformity]  # the pairs e1 = e2
     return sums
-
-
-def weighted_pair_sums_pairwise(t: int, WH: WeightedUniformHypergraph) -> int:
-    """Direct O(m^2) scan; test oracle for weighted_pair_sums_all."""
-    sets = [frozenset(e) for e in WH.base.edges]
-    total = 0
-    for i, (e1, w1) in enumerate(zip(sets, WH.weights)):
-        for j, (e2, w2) in enumerate(zip(sets, WH.weights)):
-            if i != j and len(e1 & e2) == t:
-                total += w1 * w2
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,11 @@
-"""JSON encodings for hypergraphs, graphs, multiplexes, and discrete laws.
+"""JSON encodings for hypergraphs, multiplexes and weighted hypergraphs.
 
-Every object carries a "kind" tag so files are self-describing. Rational
-masses are encoded as "num/den" strings to keep them exact across a
-round-trip; floats stay floats.
+Every object carries a "kind" tag so files are self-describing.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -21,8 +18,6 @@ from monoplex.core import (
     new_multiplex,
     new_weighted_hypergraph,
 )
-from monoplex.families import SimpleGraph, new_simple_graph
-from monoplex.laws import DiscreteLaw, law_from_pmf
 
 
 def _require(obj: Any, key: str, where: str) -> Any:
@@ -88,25 +83,10 @@ def weighted_from_obj(obj: dict, where: str = "weighted_hypergraph") -> Weighted
     )
 
 
-def graph_to_obj(G: SimpleGraph) -> dict:
-    return {
-        "kind": "simple_graph",
-        "num_vertices": G.num_vertices,
-        "edges": [list(e) for e in G.edges],
-    }
-
-
-def graph_from_obj(obj: dict, where: str = "graph") -> SimpleGraph:
-    return new_simple_graph(
-        _require(obj, "num_vertices", where), _require(obj, "edges", where)
-    )
-
-
 _READERS = {
     "uniform_hypergraph": hypergraph_from_obj,
     "multiplex": multiplex_from_obj,
     "weighted_hypergraph": weighted_from_obj,
-    "simple_graph": graph_from_obj,
 }
 
 
@@ -117,53 +97,6 @@ def structure_from_obj(obj: Any, where: str = "input"):
         known = ", ".join(sorted(_READERS))
         raise ValidationError(f"{where}.kind: unknown kind {kind!r} (expected one of {known})")
     return reader(obj, where)
-
-
-def _mass_to_obj(p) -> Any:
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    if isinstance(p, int):
-        return f"{p}/1"
-    return float(p)
-
-
-def _mass_from_obj(p: Any, where: str):
-    if isinstance(p, str):
-        try:
-            return Fraction(p)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: bad rational mass {p!r}") from exc
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise ValidationError(f"{where}: bad mass {p!r}")
-    return float(p)
-
-
-def law_to_obj(law: DiscreteLaw) -> dict:
-    return {
-        "kind": "discrete_law",
-        "dimension": law.dimension,
-        "points": [
-            {"value": list(x), "mass": _mass_to_obj(law.pmf[x])} for x in law.support
-        ],
-        "tail_mass": _mass_to_obj(law.tail_mass),
-    }
-
-
-def law_from_obj(obj: dict, where: str = "law") -> DiscreteLaw:
-    d = _require(obj, "dimension", where)
-    points = _require(obj, "points", where)
-    pmf = {}
-    for i, pt in enumerate(points):
-        value = _require(pt, "value", f"{where}.points[{i}]")
-        mass = _mass_from_obj(_require(pt, "mass", f"{where}.points[{i}]"), f"{where}.points[{i}].mass")
-        key = tuple(int(x) for x in value)
-        if len(key) != d:
-            raise ValidationError(f"{where}.points[{i}]: value length {len(key)} != dimension {d}")
-        if key in pmf:
-            raise ValidationError(f"{where}.points[{i}]: duplicate value {key}")
-        pmf[key] = mass
-    tail = _mass_from_obj(obj.get("tail_mass", 0.0), f"{where}.tail_mass")
-    return law_from_pmf(d, pmf, tail)
 
 
 def write_json(path: str | Path, obj: Any) -> None:

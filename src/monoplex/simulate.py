@@ -47,7 +47,14 @@ from monoplex.laws import DiscreteLaw, law_from_pmf
 
 BLOCK_SIZE = 4096
 
-PAIR_BUDGET = 200_000_000
+# Same-color pairs one block may hold. Listing them and testing them against
+# a layer or extending them to APs peaks near 46 bytes per pair, so a block
+# at the budget stays under 2 GiB.
+PAIR_BUDGET = 40_000_000
+
+# Colors are drawn as int32 in [1, c], so c + 1 must fit in int32; a wider
+# draw would change the random stream.
+MAX_COLORS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,8 @@ class EmpiricalLaw:
 def new_simulation_config(c: int, replicates: int, seed: int, shards: int = 1) -> SimulationConfig:
     if not isinstance(c, int) or c < 1:
         raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
+    if c > MAX_COLORS:
+        raise ResourceBoundError(f"c: {c} colors exceed {MAX_COLORS}, the most a Monte Carlo draw takes")
     if not isinstance(replicates, int) or replicates < 1:
         raise ValidationError(f"replicates: must be >= 1, got {replicates!r}")
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
@@ -248,8 +257,10 @@ def _choose_backend(H: UniformHypergraph, c: int, requested: str) -> str:
         # E edge tests. Forced timings on K_n layers that pass the ratio test
         # cross near 500 edges: K30 at c=30 (435 edges) runs faster dense,
         # K35 at c=35 (595 edges) faster through pair-class.
+        # A block whose expected pairs come near PAIR_BUDGET could be
+        # refused by pair-class; dense has no such bound.
         expected_pairs = n * (n - 1) / (2 * max(1, c))
-        if E >= 500 and expected_pairs < E / 8:
+        if E >= 500 and expected_pairs < E / 8 and BLOCK_SIZE * expected_pairs <= PAIR_BUDGET / 2:
             return "pair-class"
         return "dense"
     uniq_pairs = len(set(e[:2] for e in H.edges))

@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+from collections import Counter
 from math import exp
 from pathlib import Path
 
 import pytest
 
+import monoplex.core
 import monoplex.moments
 from monoplex import cli
 from monoplex.cli import (
@@ -106,6 +108,36 @@ class TestMoments:
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("moments", "/nonexistent.json", "--c", 2) == 2
 
+    def test_simple_graph_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        write_json(f, {"kind": "simple_graph", "num_vertices": 3, "edges": [[0, 1]]})
+        assert run_cli("moments", f, "--c", 2) == 2
+        err = capsys.readouterr().err
+        assert "unknown kind 'simple_graph'" in err and "Traceback" not in err
+
+    def test_overlaps_counted_once_per_report(self, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count_calls(monoplex.moments, "k_exact_all")
+        count_calls(monoplex.core, "_subset_sums")
+        ap, three = tmp_path / "ap.json", tmp_path / "three.json"
+        assert run_cli("construct", "ap", "--n", 30, "--r", 3, "--out", ap) == 0
+        assert run_cli("construct", "appendix-b", "--n", 30, "--lam", 0.2, "--out", three) == 0
+        assert run_cli("moments", ap, "--c", 30, "--rational") == 0
+        assert calls["k_exact_all"] == 1
+        calls.clear()
+        assert run_cli("moments", three, "--c", 900, "--rational") == 0
+        assert calls["_subset_sums"] == 6  # subset sizes 1 and 2 of each 2-uniform layer
+
 
 class TestPreset:
     @pytest.mark.parametrize("name", PRESETS)
@@ -204,7 +236,15 @@ class TestCompare:
         assert run_cli("compare", "--config", respec, "--out", again) == 0
         assert (out / "results.csv").read_bytes() == (again / "results.csv").read_bytes()
 
-    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = cli.simulate_correlated_er_T
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_correlated_er_T", counting)
         spec_obj = spec_to_obj(
             make_spec(
                 scenario="corr-er",
@@ -217,6 +257,25 @@ class TestCompare:
         write_json(cfg, spec_obj)
         assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 2
         assert "dimension" in capsys.readouterr().err
+        assert calls == []  # refused before the law is simulated
+
+    @pytest.mark.parametrize(
+        "c_rule, size, law, code, message",
+        [
+            ({"kind": "power", "lam": 1.0, "a": 1000}, 100, "simulate", 2, "c_rule"),
+            ({"kind": "power", "lam": 1.0, "a": 200.5}, 100, "simulate", 2, "c_rule"),
+            ({"kind": "fixed", "value": 2**31}, 3, "simulate", 3, f"c: {2**31}"),
+            ({"kind": "fixed", "value": 10**30}, 3, "simulate", 3, f"c: {10**30}"),
+            ({"kind": "fixed", "value": 2**31}, 3, "exact", 0, ""),
+        ],
+        ids=["power-int-overflow", "power-float-overflow", "fixed-2^31", "fixed-10^30", "exact-2^31"],
+    )
+    def test_color_count_extremes(self, c_rule, size, law, code, message, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(make_spec(c_rule=c_rule, sizes=(size,), law=law)))
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_degenerate_point_mass(self, tmp_path):
         spec_obj = spec_to_obj(

@@ -17,10 +17,8 @@ from monoplex.core import (
     count_weighted,
     k_cross,
     k_cross_all,
-    k_cross_pairwise,
     k_exact,
     k_exact_all,
-    k_exact_pairwise,
     layer_difference,
     layer_intersection,
     layer_union,
@@ -31,6 +29,7 @@ from monoplex.core import (
     new_weighted_hypergraph,
     truncation_split,
 )
+from oracles import k_cross_pairwise, k_exact_pairwise
 
 # Shared small fixture: 3-uniform, 5 vertices, 3 edges.
 H3 = new_hypergraph(3, 5, [[0, 1, 2], [0, 1, 3], [2, 3, 4]])

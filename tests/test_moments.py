@@ -17,7 +17,6 @@ from monoplex.core import (
     new_multiplex,
     new_weighted_hypergraph,
     weighted_pair_sums_all,
-    weighted_pair_sums_pairwise,
 )
 from monoplex.families import ap_hypergraph, appendix_star_hypergraph, appendix_three_multiplex
 from monoplex.moments import (
@@ -29,6 +28,7 @@ from monoplex.moments import (
     variance_T,
     variance_W,
 )
+from oracles import weighted_pair_sums_pairwise
 
 H3 = new_hypergraph(3, 5, [[0, 1, 2], [0, 1, 3], [2, 3, 4]])
 

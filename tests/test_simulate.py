@@ -1,6 +1,7 @@
 """Simulation engine: reproducibility, backend agreement, exactness."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, exp, factorial, sqrt
@@ -282,6 +283,34 @@ class TestSameColorPairs:
             _same_color_pairs(np.full((1, 6), 3, dtype=np.int32))
         with pytest.raises(ResourceBoundError):
             _same_color_pairs(np.full((2, 5), 70_000, dtype=np.int32))
+
+    def test_pair_budget_fits_in_2_gib(self):
+        # A 4096-row block on 100 vertices at c = 20 holds about 10^6 pairs;
+        # its color matrix is small next to them, so peak bytes over pairs is
+        # the per-pair cost of listing pairs and of the AP kernel.
+        n, c, seed = 100, 20, 5
+        colors = simulate._block_rng(seed, 0).integers(1, c + 1, size=(BLOCK_SIZE, n), dtype=np.int32)
+        pairs = sum(int(k) * (int(k) - 1) // 2 for row in colors for k in np.bincount(row))
+        assert 900_000 < pairs < 1_100_000
+        peaks = []
+        for run in (
+            lambda: _same_color_pairs(colors),
+            lambda: simulate_ap_T(n, 3, new_simulation_config(c, BLOCK_SIZE, seed)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert simulate.PAIR_BUDGET * max(peaks) / pairs <= 2 * 2**30
+
+    def test_auto_keeps_blocks_inside_pair_budget(self, monkeypatch):
+        k35 = new_hypergraph(2, 35, itertools.combinations(range(35), 2))
+        assert simulate._choose_backend(k35, 35, "auto") == "pair-class"
+        # a block of K35 at c = 35 expects 4096 * 17 = 69632 pairs
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 100_000)
+        assert simulate._choose_backend(k35, 35, "auto") == "dense"
 
 
 class TestColorPartitions:
@@ -574,3 +603,8 @@ class TestConfigValidation:
             new_simulation_config(2, 10, -1)
         with pytest.raises(ValidationError):
             new_simulation_config(2, 10, 0, shards=0)
+
+    def test_colors_fit_the_int32_draw(self):
+        assert new_simulation_config(2**31 - 1, 10, 0).c == 2**31 - 1
+        with pytest.raises(ResourceBoundError, match=f"c: {2**31}"):
+            new_simulation_config(2**31, 10, 0)
