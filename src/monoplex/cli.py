@@ -85,6 +85,7 @@ from monoplex.serialize import (
     write_json,
 )
 from monoplex.simulate import (
+    EmpiricalLaw,
     exact_law,
     exact_law_weighted,
     new_simulation_config,
@@ -112,9 +113,16 @@ class ExperimentSpec:
 
 
 def _number(value, where: str) -> float:
+    """A finite number from a spec: JSON files may hold NaN and Infinity."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{where}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past float range
+        x = inf
+    if not isfinite(x):
+        raise ValidationError(f"{where}: must be a finite number, got {value!r}")
+    return x
 
 
 def _target_rates(t: dict, where: str):
@@ -236,17 +244,31 @@ def _config(spec: ExperimentSpec, c: int, seed: int):
     return new_simulation_config(c, spec.replicates, seed, spec.shards)
 
 
-def _multiplex_law(M: Multiplex, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+# A law as the scenarios give it: the law, and the manifest's record of how
+# it was counted.
+Counted = tuple[DiscreteLaw, dict]
+
+
+def _enumerated(law: DiscreteLaw) -> Counted:
+    return law, {"law": "exact"}
+
+
+def _simulated(emp: EmpiricalLaw) -> Counted:
+    return emp.law, {"law": "simulate", "blocks": emp.blocks, "chunk": emp.chunk, "workers": emp.workers}
+
+
+def _multiplex_law(M: Multiplex, spec: ExperimentSpec, c: int, seed: int) -> Counted:
     if spec.law == "exact":
-        return exact_law(M, c)
-    return simulate_T(M, _config(spec, c, seed)).law
+        return _enumerated(exact_law(M, c))
+    return _simulated(simulate_T(M, _config(spec, c, seed)))
 
 
 @dataclass(frozen=True)
 class BuiltScenario:
     """A scenario's instance at one size. Subclasses hold its structure and
-    give law(spec, c, seed), the exact or simulated law of the counts, and
-    derived(largest, c_largest, c, tail_tol), the law of a "derived" target."""
+    give law(spec, c, seed), the exact or simulated law of the counts with
+    its record of how it was counted, and derived(largest, c_largest, c,
+    tail_tol), the law of a "derived" target."""
 
     n: int
     dimension: int
@@ -262,8 +284,8 @@ class BuiltScenario:
                 raise ValidationError(
                     f"targets[{label}]: dimension {target.dimension} != scenario dimension {self.dimension}"
                 )
-        emp = self.law(spec, c, spec.seed)
-        return [_compare_row(self.n, c, label, emp, target) for label, target in targets]
+        emp, counting = self.law(spec, c, spec.seed)
+        return [_compare_row(self.n, c, label, emp, target, counting) for label, target in targets]
 
     def target(self, tspec: dict, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         """The limit law that one target of the spec names, at this size."""
@@ -286,7 +308,7 @@ class MultiplexScenario(BuiltScenario):
 
     multiplex: Multiplex
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
         return _multiplex_law(self.multiplex, spec, c, seed)
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
@@ -303,10 +325,10 @@ class WeightedScenario(BuiltScenario):
 
     weighted: WeightedUniformHypergraph
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
         if spec.law == "exact":
-            return exact_law_weighted(self.weighted, c)
-        return simulate_W(self.weighted, _config(spec, c, seed)).law
+            return _enumerated(exact_law_weighted(self.weighted, c))
+        return _simulated(simulate_W(self.weighted, _config(spec, c, seed)))
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         counts = Counter(self.weighted.weights)
@@ -318,10 +340,11 @@ class WeightedScenario(BuiltScenario):
 class ApScenario(BuiltScenario):
     """r-term APs in [1, n], r = uniformity; derived: Poisson at the largest mean."""
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
         if spec.law == "exact":
-            return exact_law(new_multiplex([ap_hypergraph(range(1, self.n + 1), self.uniformity)]), c)
-        return simulate_ap_T(self.n, self.uniformity, _config(spec, c, seed)).law
+            M = new_multiplex([ap_hypergraph(range(1, self.n + 1), self.uniformity)])
+            return _enumerated(exact_law(M, c))
+        return _simulated(simulate_ap_T(self.n, self.uniformity, _config(spec, c, seed)))
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         return poisson_law(largest.ref_count / c_largest ** (largest.uniformity - 1), tail_tol)
@@ -333,10 +356,10 @@ class CorrErScenario(BuiltScenario):
 
     er_params: CorrelatedErParams
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> DiscreteLaw:
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
         if spec.law == "exact":
             raise ValidationError(f"law: exact enumeration unavailable for scenario {spec.scenario!r}")
-        return simulate_correlated_er_T(self.er_params, _config(spec, c, seed)).law
+        return _simulated(simulate_correlated_er_T(self.er_params, _config(spec, c, seed)))
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         ep = largest.er_params
@@ -378,12 +401,13 @@ class AppendixBScenario(BuiltScenario):
 
     def rows(self, spec: ExperimentSpec, c: int, largest: BuiltScenario, c_largest: int) -> list[dict]:
         limits = self.limits(c, spec.tail_tol)
-        emp = {}
+        emp, counting = {}, {}
         rows = []
         for offset, name in enumerate(sorted(self.variants)):
-            emp[name] = _multiplex_law(self.variants[name], spec, c, (spec.seed + offset) % 2**64)
-            rows.append(_compare_row(self.n, c, name, emp[name], limits[name]))
-        rows.append(_compare_row(self.n, c, "cross", emp["nested"], emp["pairwise"]))
+            seed = (spec.seed + offset) % 2**64
+            emp[name], counting[name] = _multiplex_law(self.variants[name], spec, c, seed)
+            rows.append(_compare_row(self.n, c, name, emp[name], limits[name], counting[name]))
+        rows.append(_compare_row(self.n, c, "cross", emp["nested"], emp["pairwise"], counting["nested"]))
         return rows
 
 
@@ -544,7 +568,9 @@ def _gaps(a: DiscreteLaw, b: DiscreteLaw) -> tuple[float, float]:
     return mean_gap, var_gap
 
 
-def _compare_row(n: int, c: int, label: str, emp: DiscreteLaw, target: DiscreteLaw) -> dict:
+def _compare_row(n: int, c: int, label: str, emp: DiscreteLaw, target: DiscreteLaw, counting: dict) -> dict:
+    """One comparison row; counting, the record of how emp was counted,
+    goes to the manifest and never to the CSV."""
     tv = float(tv_distance(emp, target))
     mean_gap, var_gap = _gaps(emp, target)
     return {
@@ -554,6 +580,7 @@ def _compare_row(n: int, c: int, label: str, emp: DiscreteLaw, target: DiscreteL
         "tv": tv,
         "mean_gap": mean_gap,
         "var_gap": var_gap,
+        "counting": counting,
     }
 
 
@@ -561,6 +588,9 @@ def run_compare(spec: ExperimentSpec) -> list[dict]:
     """All comparison rows for the sweep, in size order."""
     built_by_n = {n: build_scenario(spec, n) for n in spec.sizes}
     c_by_n = {n: resolve_colors(spec.c_rule, built_by_n[n]) for n in spec.sizes}
+    if spec.law == "simulate":
+        for n in spec.sizes:  # every size's c fits the draw before any law runs
+            _config(spec, c_by_n[n], spec.seed)
     n_largest = max(spec.sizes)
     rows: list[dict] = []
     for n in spec.sizes:

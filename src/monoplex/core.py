@@ -11,8 +11,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Edge = tuple[int, ...]
 
@@ -39,6 +42,16 @@ class UniformHypergraph:
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (num_edges, uniformity) int32 array,
+        built on first use and kept with the layer."""
+        flat = itertools.chain.from_iterable(self.edges)
+        arr = np.fromiter(flat, dtype=np.int32, count=len(self.edges) * self.uniformity)
+        arr = arr.reshape(-1, self.uniformity)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)

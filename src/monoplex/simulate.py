@@ -1,31 +1,40 @@
 """Seeded Monte Carlo over colorings and the exact law over color partitions.
 
-Replicates are processed in fixed-size blocks of 4096; block b draws from a
-Philox substream derived from (seed, b). Shards own whole blocks, so the
-merged counts are bit-identical for every shard count, and every backend
-consumes the block's color matrix identically, so backend choice never
-changes results either.
+Replicates are drawn in fixed-size blocks of 4096; block b draws its whole
+color matrix with one call on a Philox substream derived from (seed, b).
+Each block is counted in slices of CHUNK = 512 rows on a pool of threads,
+one per CPU this process may use (at most one per slice, at most
+BLOCK_SIZE // CHUNK); NumPy releases the interpreter lock in the sort, the
+take and the ufuncs, so the slices run in parallel. The calling thread
+draws block b + 1 while the pool counts block b, and merges each block's
+row counts in block order. Counters are pure functions of a slice's rows,
+so the law is bit-identical for every worker count; `shards` is accepted
+and recorded but schedules nothing. Every backend consumes the block's
+color matrix identically, so backend choice never changes results either.
 
 Same-color vertex pairs are listed by sorting each row's packed keys
 color*n + v once (unique keys, so this is the stable argsort's permutation)
 and walking the sorted rows by gap: the pairs at gap g are the positions
 whose g predecessors share their color. The pair-class backend tests these
 pairs against a 2-uniform layer's edge keys and the AP kernel extends them
-to progressions. Auto sends a 2-uniform layer of at least 500 edges to
+to progressions. One slice may hold PAIR_BUDGET * CHUNK // BLOCK_SIZE
+pairs, so whether a run is refused depends on its inputs alone, never on
+the CPU count. Auto sends a 2-uniform layer of at least 500 edges to
 pair-class when the expected pair count is below an eighth of its edges.
 Weighted totals are summed exactly: in int64 by dense, in float64 by the
 other backends, which are refused once the weight sum reaches 2^53.
 
-The exact law runs through the same per-layer counters. Colors are
-exchangeable, so the counts depend only on the partition of the vertices
-into color classes, and a partition with k blocks stands for (c)_k
-colorings. Partitions into at most c blocks are enumerated as restricted
-growth strings in chunks of at most BLOCK_SIZE rows, and each chunk is
-counted like a block of colorings.
+The exact law runs through the same per-layer counters and the same slice
+map. Colors are exchangeable, so the counts depend only on the partition of
+the vertices into color classes, and a partition with k blocks stands for
+(c)_k colorings. Partitions into at most c blocks are enumerated as
+restricted growth strings in chunks of at most BLOCK_SIZE rows, and each
+chunk is counted like a block of colorings.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,9 +56,14 @@ from monoplex.laws import DiscreteLaw, law_from_pmf
 
 BLOCK_SIZE = 4096
 
-# Same-color pairs one block may hold. Listing them and testing them against
-# a layer or extending them to APs peaks near 46 bytes per pair, so a block
-# at the budget stays under 2 GiB.
+# Rows per slice: small enough that a slice's sort and gap walk stay in
+# cache; BLOCK_SIZE // CHUNK slices of a block can be counted at once.
+CHUNK = BLOCK_SIZE // 8
+
+# Same-color pairs the slices in flight may hold together; one slice may
+# hold PAIR_BUDGET * CHUNK // BLOCK_SIZE of them. Listing them and testing
+# them against a layer or extending them to APs peaks near 46 bytes per
+# pair, so the slices in flight stay under 2 GiB.
 PAIR_BUDGET = 40_000_000
 
 # Colors are drawn as int32 in [1, c], so c + 1 must fit in int32; a wider
@@ -59,8 +73,8 @@ MAX_COLORS = 2**31 - 1
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """c colors, total replicates, RNG seed, and shard count (shards change
-    scheduling only, never results)."""
+    """c colors, total replicates, RNG seed, and shard count (accepted and
+    recorded; it schedules nothing)."""
 
     c: int
     replicates: int
@@ -70,12 +84,17 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Empirical distribution with exact rational masses count/replicates."""
+    """Empirical distribution with exact rational masses count/replicates,
+    and how it was counted: blocks drawn, rows per slice and threads used
+    (0 blocks and 0 workers when c = 1 leaves nothing to draw)."""
 
     law: DiscreteLaw
     replicates: int
     seed: int
     shards: int
+    blocks: int
+    chunk: int
+    workers: int
 
 
 def new_simulation_config(c: int, replicates: int, seed: int, shards: int = 1) -> SimulationConfig:
@@ -90,6 +109,11 @@ def new_simulation_config(c: int, replicates: int, seed: int, shards: int = 1) -
     if not isinstance(shards, int) or shards < 1:
         raise ValidationError(f"shards: must be >= 1, got {shards!r}")
     return SimulationConfig(c, replicates, seed, shards)
+
+
+def _slice_pair_budget() -> int:
+    """Same-color pairs one slice may hold."""
+    return PAIR_BUDGET * CHUNK // BLOCK_SIZE
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -110,7 +134,9 @@ def _dense_T(colors: np.ndarray, edges: np.ndarray, weights: np.ndarray | None) 
     B = colors.shape[0]
     E, r = edges.shape
     out = np.zeros(B, dtype=np.int64)
-    chunk = max(1, 8_000_000 // max(1, B * r))
+    # about 10^6 endpoint colors (4 MB) per pass: a slice's working set stays
+    # in cache, and the slices in flight hold little memory
+    chunk = max(1, 1_000_000 // max(1, B * r))
     for lo in range(0, E, chunk):
         sub = edges[lo : lo + chunk]
         cols = colors[:, sub]
@@ -122,15 +148,24 @@ def _dense_T(colors: np.ndarray, edges: np.ndarray, weights: np.ndarray | None) 
     return out
 
 
-def _leading_pair_tables(edges: np.ndarray):
-    """Group edges by their first two vertices for two-stage evaluation."""
-    pairs = edges[:, :2]
-    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    order = np.argsort(inv, kind="stable").astype(np.int64)
-    sorted_pid = inv[order]
-    bucket_start = np.searchsorted(sorted_pid, np.arange(len(uniq)))
-    bucket_len = np.diff(np.append(bucket_start, len(inv)))
-    return uniq, order, bucket_start.astype(np.int64), bucket_len.astype(np.int64)
+def _pair_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """Each edge's first two vertices packed as u*n + v."""
+    return edges[:, 0].astype(np.int64) * n + edges[:, 1].astype(np.int64)
+
+
+def _leading_pair_tables(edges: np.ndarray, n: int):
+    """Group edges by their first two vertices for two-stage evaluation: the
+    distinct leading pairs in order, the edge ids grouped by pair, and each
+    group's start and length. Sorting packed keys, not np.unique with axis=0,
+    whose sort of rows as records is about 30 times slower."""
+    keys = _pair_keys(edges, n)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    bucket_start = np.flatnonzero(first)
+    bucket_len = np.diff(np.append(bucket_start, len(keys)))
+    return edges[order[bucket_start], :2], order, bucket_start, bucket_len
 
 
 def _leading_pair_T(
@@ -182,6 +217,7 @@ def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     the walk runs (largest class size - 1) times.
     """
     B, n = colors.shape
+    budget = _slice_pair_budget()
     keys, width = _sorted_keys(colors)
     sc = keys // width
     same = np.zeros((B, n), dtype=bool)
@@ -194,10 +230,10 @@ def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     g = 1
     while len(idx):
         held += len(idx)
-        if held > PAIR_BUDGET:
+        if held > budget:
             raise ResourceBoundError(
                 f"same-color pairs of {B} replicates on {n} vertices exceed "
-                f"the budget of {PAIR_BUDGET} pairs"
+                f"the budget of {budget} pairs per slice"
             )
         rows_parts.append(idx // n)
         u_parts.append(keys[idx - g])
@@ -215,7 +251,7 @@ def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _pair_class_tables(edges: np.ndarray, n: int, weights: np.ndarray | None):
-    keys = edges[:, 0].astype(np.int64) * n + edges[:, 1].astype(np.int64)
+    keys = _pair_keys(edges, n)
     ksort = np.argsort(keys)
     sorted_keys = keys[ksort]
     sorted_weights = None if weights is None else weights[ksort]
@@ -257,14 +293,13 @@ def _choose_backend(H: UniformHypergraph, c: int, requested: str) -> str:
         # E edge tests. Forced timings on K_n layers that pass the ratio test
         # cross near 500 edges: K30 at c=30 (435 edges) runs faster dense,
         # K35 at c=35 (595 edges) faster through pair-class.
-        # A block whose expected pairs come near PAIR_BUDGET could be
-        # refused by pair-class; dense has no such bound.
+        # A slice whose expected pairs come near its share of PAIR_BUDGET
+        # could be refused by pair-class; dense has no such bound.
         expected_pairs = n * (n - 1) / (2 * max(1, c))
-        if E >= 500 and expected_pairs < E / 8 and BLOCK_SIZE * expected_pairs <= PAIR_BUDGET / 2:
+        if E >= 500 and expected_pairs < E / 8 and CHUNK * expected_pairs <= _slice_pair_budget() / 2:
             return "pair-class"
         return "dense"
-    uniq_pairs = len(set(e[:2] for e in H.edges))
-    if E >= 32 and uniq_pairs <= E // 2:
+    if E >= 32 and len(np.unique(_pair_keys(H.edge_array, n))) <= E // 2:
         return "leading-pair"
     return "dense"
 
@@ -277,7 +312,8 @@ def _layer_counter(
     backend: str,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Per-layer counting plan: returns count(colors) -> (B, d) int64 array
-    of per-row monochromatic totals (weighted where weights are given)."""
+    of per-row monochromatic totals (weighted where weights are given), a
+    pure function of the rows it is given."""
     plans = []
     for layer, weights in zip(layers, weight_lists):
         kind = _choose_backend(layer, c, backend)
@@ -293,10 +329,10 @@ def _layer_counter(
                         f"weight sum is {total}"
                     )
                 kind = "dense"
-        edges = np.asarray(layer.edges, dtype=np.int32).reshape(-1, layer.uniformity)
+        edges = layer.edge_array
         w = None if weights is None else np.asarray(weights, dtype=np.int64)
         if kind == "leading-pair" and len(edges):
-            plans.append((kind, edges, w, _leading_pair_tables(edges)))
+            plans.append((kind, edges, w, _leading_pair_tables(edges, n)))
         elif kind == "pair-class" and len(edges):
             plans.append((kind, edges, w, _pair_class_tables(edges, n, w)))
         else:  # dense, also for an edgeless layer under any backend
@@ -320,51 +356,102 @@ def _layer_counter(
 
 
 def _row_counts(out: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(row as a tuple of ints, multiplicity) per distinct row of out."""
-    uniq, cnt = np.unique(out, axis=0, return_counts=True)
-    for key, k in zip(uniq, cnt):
-        yield tuple(int(x) for x in key), int(k)
+    """(row as a tuple of ints, multiplicity) per distinct row of out, rows
+    in lexicographic order. A lexsort of the columns, not np.unique with
+    axis=0, whose sort of rows as records is about 30 times slower."""
+    rows = out[np.lexsort(out.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(rows)))
+    for key, k in zip(rows[starts].tolist(), counts.tolist()):
+        yield tuple(key), k
 
 
 def _block_plan(cfg: SimulationConfig) -> list[tuple[int, int]]:
-    """(block index, rows in block) covering all replicates; shards take
-    whole blocks round-robin, which leaves the merged counts unchanged."""
+    """(block index, rows in block) covering all replicates, in block order."""
     total_blocks = -(-cfg.replicates // BLOCK_SIZE)
-    plan = []
-    for shard in range(cfg.shards):
-        for block in range(shard, total_blocks, cfg.shards):
-            lo = block * BLOCK_SIZE
-            plan.append((block, min(BLOCK_SIZE, cfg.replicates - lo)))
-    return plan
+    return [(b, min(BLOCK_SIZE, cfg.replicates - b * BLOCK_SIZE)) for b in range(total_blocks)]
 
 
-def _accumulate(cfg: SimulationConfig, n_vertices: int, compute) -> Counter:
-    """Run compute(rng, colors) -> (B, d) int array over all blocks."""
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _count_slices(chunks: Iterator[tuple[np.ndarray, object]], count, merge, slices: int) -> int:
+    """Count each chunk of rows in CHUNK-row slices on a thread pool.
+
+    chunks yields (rows, tag) pairs; count(slice) -> (rows, d) must be pure.
+    merge(out, tag) gets each chunk's counts, its slices concatenated in row
+    order, on the calling thread and in chunk order. The next chunk is made
+    while the pool counts the current one. slices, the number expected,
+    only caps the workers. Returns the worker count.
+    """
+    # Deferred: concurrent.futures imports logging, which would add to the
+    # start-up time of every command, counting or not.
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = max(1, min(_cpu_count(), BLOCK_SIZE // CHUNK, slices))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = None
+        for rows, tag in chunks:
+            futures = [pool.submit(count, rows[lo : lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
+            if pending is not None:
+                merge(np.concatenate([f.result() for f in pending[0]]), pending[1])
+            pending = (futures, tag)
+        if pending is not None:
+            merge(np.concatenate([f.result() for f in pending[0]]), pending[1])
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return workers
+
+
+def _accumulate(cfg: SimulationConfig, n_vertices: int, count, d: int, finish=None) -> EmpiricalLaw:
+    """The empirical law of count(colors) -> (rows, d) over all blocks.
+    finish(rng, out), when given, maps a whole block's counts to its rows of
+    the law on the calling thread, in block order, drawing from the block's
+    generator after its colors."""
     counts: Counter = Counter()
-    for block, B in _block_plan(cfg):
-        rng = _block_rng(cfg.seed, block)
-        colors = rng.integers(1, cfg.c + 1, size=(B, n_vertices), dtype=np.int32)
-        for key, k in _row_counts(compute(rng, colors)):
+    plan = _block_plan(cfg)
+
+    def blocks():
+        for block, B in plan:
+            rng = _block_rng(cfg.seed, block)
+            yield rng.integers(1, cfg.c + 1, size=(B, n_vertices), dtype=np.int32), rng
+
+    def merge(out: np.ndarray, rng: np.random.Generator) -> None:
+        if finish is not None:
+            out = finish(rng, out)
+        for key, k in _row_counts(out):
             counts[key] += k
-    return counts
+
+    workers = _count_slices(blocks(), count, merge, sum(-(-B // CHUNK) for _, B in plan))
+    return _empirical(counts, d, cfg, len(plan), workers)
 
 
-def _empirical(counts: Counter, d: int, cfg: SimulationConfig) -> EmpiricalLaw:
+def _empirical(
+    counts: Counter, d: int, cfg: SimulationConfig, blocks: int = 0, workers: int = 0
+) -> EmpiricalLaw:
     pmf = {key: Fraction(k, cfg.replicates) for key, k in counts.items()}
     law = law_from_pmf(d, pmf, 0)
-    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards)
+    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards, blocks, CHUNK, workers)
 
 
 def simulate_T(M: Multiplex, cfg: SimulationConfig, backend: str = "auto") -> EmpiricalLaw:
     """Empirical joint law of per-layer monochromatic counts over
-    cfg.replicates colorings. Output depends only on (c, replicates, seed);
-    shards and backend never change it."""
+    cfg.replicates colorings. The law depends only on (c, replicates, seed);
+    shards, backend and worker count never change it."""
     d = M.num_layers
     if cfg.c == 1:
         key = tuple(layer.num_edges for layer in M.layers)
         return _empirical(Counter({key: cfg.replicates}), d, cfg)
     count = _layer_counter(M.layers, [None] * d, M.num_vertices, cfg.c, backend)
-    return _empirical(_accumulate(cfg, M.num_vertices, lambda rng, colors: count(colors)), d, cfg)
+    return _accumulate(cfg, M.num_vertices, count, d)
 
 
 def simulate_W(
@@ -375,7 +462,7 @@ def simulate_W(
     if cfg.c == 1:
         return _empirical(Counter({(sum(WH.weights),): cfg.replicates}), 1, cfg)
     count = _layer_counter([WH.base], [WH.weights], n, cfg.c, backend)
-    return _empirical(_accumulate(cfg, n, lambda rng, colors: count(colors)), 1, cfg)
+    return _accumulate(cfg, n, count, 1)
 
 
 def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
@@ -391,7 +478,7 @@ def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
     if cfg.c == 1:
         return _empirical(Counter({(ap_count_closed_form(n, r),): cfg.replicates}), 1, cfg)
 
-    def compute(rng, colors):
+    def count(colors):
         rows, u, v = _same_color_pairs(colors)
         step = v - u
         fits = np.flatnonzero(v + (r - 2) * step < n)
@@ -405,7 +492,7 @@ def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
             ok &= flat[nxt] == ref
         return np.bincount(rows[np.flatnonzero(ok)], minlength=colors.shape[0])[:, None]
 
-    return _empirical(_accumulate(cfg, n, compute), 1, cfg)
+    return _accumulate(cfg, n, count, 1)
 
 
 def _binomial_array(m: np.ndarray, r: int) -> np.ndarray:
@@ -433,18 +520,18 @@ def simulate_correlated_er_T(params: CorrelatedErParams, cfg: SimulationConfig) 
     # that one value bounds every total.
     binom = _binomial_array(np.arange(n + 1), r)
 
-    def compute(rng, colors):
+    def monochromatic(colors):
         B = colors.shape[0]
         offsets = np.arange(B, dtype=np.int64)[:, None] * cfg.c
         flat = (colors.astype(np.int64) - 1) + offsets
         class_sizes = np.bincount(flat.ravel(), minlength=B * cfg.c).reshape(B, cfg.c)
-        mono = binom[class_sizes].sum(axis=1)
-        draws = rng.multinomial(mono, pvals)
-        t1 = draws[:, 0] + draws[:, 1]
-        t2 = draws[:, 0] + draws[:, 2]
-        return np.stack([t1, t2], axis=1)
+        return binom[class_sizes].sum(axis=1)[:, None]
 
-    return _empirical(_accumulate(cfg, n, compute), 2, cfg)
+    def thin(rng, mono):
+        draws = rng.multinomial(mono[:, 0], pvals)
+        return np.stack([draws[:, 0] + draws[:, 1], draws[:, 0] + draws[:, 2]], axis=1)
+
+    return _accumulate(cfg, n, monochromatic, 2, finish=thin)
 
 
 def _partition_count(n: int, kmax: int) -> int:
@@ -499,11 +586,14 @@ def _exact(
     falling = [1]  # falling[k] = (c)_k, the colorings that realize a k-block partition
     for k in range(kmax):
         falling.append(falling[-1] * (c - k))
-    count = _layer_counter(layers, weight_lists, n, c, "auto")
     counts: Counter = Counter()
-    for rgs, blocks in _partitions(n, kmax):
-        for key, k in _row_counts(np.concatenate([count(rgs), blocks[:, None]], axis=1)):
+
+    def merge(out: np.ndarray, blocks: np.ndarray) -> None:
+        for key, k in _row_counts(np.concatenate([out, blocks[:, None]], axis=1)):
             counts[key[:-1]] += k * falling[key[-1]]
+
+    count = _layer_counter(layers, weight_lists, n, c, "auto")
+    _count_slices(_partitions(n, kmax), count, merge, -(-states // CHUNK))
     pmf = {key: Fraction(total, c**n) for key, total in counts.items()}
     return law_from_pmf(len(layers), pmf, 0)
 

@@ -10,7 +10,7 @@ import pytest
 
 import monoplex.core
 import monoplex.moments
-from monoplex import cli
+from monoplex import cli, simulate
 from monoplex.cli import (
     PRESETS,
     SCENARIOS,
@@ -27,7 +27,7 @@ from monoplex.cli import (
 from monoplex.core import ValidationError
 from monoplex.laws import law_moments
 from monoplex.serialize import load_structure, read_json, write_json
-from monoplex.simulate import _choose_backend, new_simulation_config, simulate_T
+from monoplex.simulate import BLOCK_SIZE, CHUNK, _choose_backend, new_simulation_config, simulate_T
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -224,6 +224,32 @@ class TestCompare:
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_results_independent_of_workers_and_shards(self, tmp_path, monkeypatch):
+        obj = spec_to_obj(preset_spec("birthday"))
+        obj["sizes"] = [20, 40]
+        obj["replicates"] = BLOCK_SIZE + 700
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, obj)
+        outs = []
+        for workers, shards in ((1, 1), (2, 1), (2, 2), (2, 3)):
+            monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+            out = tmp_path / f"w{workers}s{shards}"
+            assert run_cli("compare", "--config", cfg, "--shards", shards, "--out", out) == 0
+            outs.append((out / "results.csv").read_bytes())
+            rows = read_json(out / "manifest.json")["results"]
+            assert [r["counting"] for r in rows] == [
+                {"law": "simulate", "blocks": 2, "chunk": CHUNK, "workers": workers}
+            ] * 2
+        assert len(set(outs)) == 1
+        assert b"counting" not in outs[0]
+
+    def test_manifest_records_exact_counting(self, tmp_path):
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(make_spec()))
+        out = tmp_path / "run"
+        assert run_cli("compare", "--config", cfg, "--out", out) == 0
+        assert [r["counting"] for r in read_json(out / "manifest.json")["results"]] == [{"law": "exact"}]
+
     def test_manifest_reconstructs_run(self, tmp_path):
         cfg = tmp_path / "spec.json"
         write_json(cfg, spec_to_obj(make_spec()))
@@ -258,6 +284,24 @@ class TestCompare:
         assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 2
         assert "dimension" in capsys.readouterr().err
         assert calls == []  # refused before the law is simulated
+
+    def test_color_limit_checked_before_the_first_law(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = cli.simulate_ap_T
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_ap_T", counting)
+        # c = n^6: 10^6 colors at n = 10 fit the draw, 1.56e10 at n = 50 do not
+        rule = {"kind": "power", "lam": 1, "a": 6}
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(make_spec(c_rule=rule, sizes=(10, 50), law="simulate")))
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert f"c: {50**6}" in err and "Traceback" not in err
+        assert calls == []  # refused before the n = 10 law is simulated
 
     @pytest.mark.parametrize(
         "c_rule, size, law, code, message",
@@ -422,6 +466,10 @@ class TestSpecValidation:
                 "params.patterns[0].num_vertices",
             ),
             ({"params": {"r": "3"}}, "params.r"),
+            ({"c_rule": {"kind": "mean", "lam": float("nan")}}, "c_rule.lam"),
+            ({"c_rule": {"kind": "power", "lam": 1.0, "a": float("inf")}}, "c_rule.a"),
+            ({"targets": [{"kind": "poisson", "label": "p", "rate": float("-inf")}]}, "targets[0].rate"),
+            ({"scenario": "corr-er", "params": {"p": float("nan"), "rho": 0.1}}, "params.p"),
         ],
         ids=[
             "poisson-without-rate",
@@ -432,6 +480,10 @@ class TestSpecValidation:
             "c_rule-not-an-object",
             "pattern-without-num_vertices",
             "ap-r-a-string",
+            "lam-nan",
+            "power-a-infinity",
+            "rate-minus-infinity",
+            "corr-er-p-nan",
         ],
     )
     def test_malformed_spec_file_exits_2(self, change, field, tmp_path, capsys):
