@@ -254,7 +254,7 @@ def _enumerated(law: DiscreteLaw) -> Counted:
 
 
 def _simulated(emp: EmpiricalLaw) -> Counted:
-    return emp.law, {"law": "simulate", "blocks": emp.blocks, "chunk": emp.chunk, "workers": emp.workers}
+    return emp.law, {"law": "simulate", "blocks": emp.blocks, "chunk": emp.chunk}
 
 
 def _multiplex_law(M: Multiplex, spec: ExperimentSpec, c: int, seed: int) -> Counted:

@@ -2,15 +2,12 @@
 
 Replicates are drawn in fixed-size blocks of 4096; block b draws its whole
 color matrix with one call on a Philox substream derived from (seed, b).
-Each block is counted in slices of CHUNK = 512 rows on a pool of threads,
-one per CPU this process may use (at most one per slice, at most
-BLOCK_SIZE // CHUNK); NumPy releases the interpreter lock in the sort, the
-take and the ufuncs, so the slices run in parallel. The calling thread
-draws block b + 1 while the pool counts block b, and merges each block's
-row counts in block order. Counters are pure functions of a slice's rows,
-so the law is bit-identical for every worker count; `shards` is accepted
-and recorded but schedules nothing. Every backend consumes the block's
-color matrix identically, so backend choice never changes results either.
+Each block is counted in slices of CHUNK = 512 rows, one after the other on
+the calling thread, and its row counts are merged in block order. Counters
+are pure functions of a slice's rows, so the law does not depend on the
+slice size; `shards` is accepted and recorded but schedules nothing. Every
+backend consumes the block's color matrix identically, so backend choice
+never changes results either.
 
 Same-color vertex pairs are listed by sorting each row's packed keys
 color*n + v once (unique keys, so this is the stable argsort's permutation)
@@ -18,23 +15,21 @@ and walking the sorted rows by gap: the pairs at gap g are the positions
 whose g predecessors share their color. The pair-class backend tests these
 pairs against a 2-uniform layer's edge keys and the AP kernel extends them
 to progressions. One slice may hold PAIR_BUDGET * CHUNK // BLOCK_SIZE
-pairs, so whether a run is refused depends on its inputs alone, never on
-the CPU count. Auto sends a 2-uniform layer of at least 500 edges to
+pairs, so whether a run is refused depends on its inputs alone. Auto sends a 2-uniform layer of at least 500 edges to
 pair-class when the expected pair count is below an eighth of its edges.
 Weighted totals are summed exactly: in int64 by dense, in float64 by the
 other backends, which are refused once the weight sum reaches 2^53.
 
-The exact law runs through the same per-layer counters and the same slice
-map. Colors are exchangeable, so the counts depend only on the partition of
-the vertices into color classes, and a partition with k blocks stands for
-(c)_k colorings. Partitions into at most c blocks are enumerated as
-restricted growth strings in chunks of at most BLOCK_SIZE rows, and each
-chunk is counted like a block of colorings.
+The exact law runs through the same per-layer counters and the same
+slicing. Colors are exchangeable, so the counts depend only on
+the partition of the vertices into color classes, and a partition with k
+blocks stands for (c)_k colorings. Partitions into at most c blocks are
+enumerated as restricted growth strings in chunks of at most BLOCK_SIZE
+rows, and each chunk is counted like a block of colorings.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,13 +52,13 @@ from monoplex.laws import DiscreteLaw, law_from_pmf
 BLOCK_SIZE = 4096
 
 # Rows per slice: small enough that a slice's sort and gap walk stay in
-# cache; BLOCK_SIZE // CHUNK slices of a block can be counted at once.
+# cache.
 CHUNK = BLOCK_SIZE // 8
 
-# Same-color pairs the slices in flight may hold together; one slice may
+# Same-color pairs the slices of one block may hold together; one slice may
 # hold PAIR_BUDGET * CHUNK // BLOCK_SIZE of them. Listing them and testing
 # them against a layer or extending them to APs peaks near 46 bytes per
-# pair, so the slices in flight stay under 2 GiB.
+# pair, so even a whole block at the budget would stay under 2 GiB.
 PAIR_BUDGET = 40_000_000
 
 # Colors are drawn as int32 in [1, c], so c + 1 must fit in int32; a wider
@@ -85,8 +80,8 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class EmpiricalLaw:
     """Empirical distribution with exact rational masses count/replicates,
-    and how it was counted: blocks drawn, rows per slice and threads used
-    (0 blocks and 0 workers when c = 1 leaves nothing to draw)."""
+    and how it was counted: blocks drawn and rows per slice (0 blocks when
+    c = 1 leaves nothing to draw)."""
 
     law: DiscreteLaw
     replicates: int
@@ -94,7 +89,6 @@ class EmpiricalLaw:
     shards: int
     blocks: int
     chunk: int
-    workers: int
 
 
 def new_simulation_config(c: int, replicates: int, seed: int, shards: int = 1) -> SimulationConfig:
@@ -135,7 +129,7 @@ def _dense_T(colors: np.ndarray, edges: np.ndarray, weights: np.ndarray | None) 
     E, r = edges.shape
     out = np.zeros(B, dtype=np.int64)
     # about 10^6 endpoint colors (4 MB) per pass: a slice's working set stays
-    # in cache, and the slices in flight hold little memory
+    # in cache
     chunk = max(1, 1_000_000 // max(1, B * r))
     for lo in range(0, E, chunk):
         sub = edges[lo : lo + chunk]
@@ -374,78 +368,39 @@ def _block_plan(cfg: SimulationConfig) -> list[tuple[int, int]]:
     return [(b, min(BLOCK_SIZE, cfg.replicates - b * BLOCK_SIZE)) for b in range(total_blocks)]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _count_slices(chunks: Iterator[tuple[np.ndarray, object]], count, merge, slices: int) -> int:
-    """Count each chunk of rows in CHUNK-row slices on a thread pool.
-
-    chunks yields (rows, tag) pairs; count(slice) -> (rows, d) must be pure.
-    merge(out, tag) gets each chunk's counts, its slices concatenated in row
-    order, on the calling thread and in chunk order. The next chunk is made
-    while the pool counts the current one. slices, the number expected,
-    only caps the workers. Returns the worker count.
-    """
-    # Deferred: concurrent.futures imports logging, which would add to the
-    # start-up time of every command, counting or not.
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = max(1, min(_cpu_count(), BLOCK_SIZE // CHUNK, slices))
-    pool = ThreadPoolExecutor(workers)
-    try:
-        pending = None
-        for rows, tag in chunks:
-            futures = [pool.submit(count, rows[lo : lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
-            if pending is not None:
-                merge(np.concatenate([f.result() for f in pending[0]]), pending[1])
-            pending = (futures, tag)
-        if pending is not None:
-            merge(np.concatenate([f.result() for f in pending[0]]), pending[1])
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return workers
+def _count_in_slices(rows: np.ndarray, count) -> np.ndarray:
+    """count(rows) -> (rows, d), evaluated CHUNK rows at a time, so that a
+    slice's sort and gap walk stay in cache and its same-color pairs are
+    dropped before the next slice lists its own."""
+    return np.concatenate([count(rows[lo : lo + CHUNK]) for lo in range(0, len(rows), CHUNK)])
 
 
 def _accumulate(cfg: SimulationConfig, n_vertices: int, count, d: int, finish=None) -> EmpiricalLaw:
     """The empirical law of count(colors) -> (rows, d) over all blocks.
     finish(rng, out), when given, maps a whole block's counts to its rows of
-    the law on the calling thread, in block order, drawing from the block's
-    generator after its colors."""
+    the law, drawing from the block's generator after its colors."""
     counts: Counter = Counter()
     plan = _block_plan(cfg)
-
-    def blocks():
-        for block, B in plan:
-            rng = _block_rng(cfg.seed, block)
-            yield rng.integers(1, cfg.c + 1, size=(B, n_vertices), dtype=np.int32), rng
-
-    def merge(out: np.ndarray, rng: np.random.Generator) -> None:
+    for block, B in plan:
+        rng = _block_rng(cfg.seed, block)
+        out = _count_in_slices(rng.integers(1, cfg.c + 1, size=(B, n_vertices), dtype=np.int32), count)
         if finish is not None:
             out = finish(rng, out)
         for key, k in _row_counts(out):
             counts[key] += k
-
-    workers = _count_slices(blocks(), count, merge, sum(-(-B // CHUNK) for _, B in plan))
-    return _empirical(counts, d, cfg, len(plan), workers)
+    return _empirical(counts, d, cfg, len(plan))
 
 
-def _empirical(
-    counts: Counter, d: int, cfg: SimulationConfig, blocks: int = 0, workers: int = 0
-) -> EmpiricalLaw:
+def _empirical(counts: Counter, d: int, cfg: SimulationConfig, blocks: int = 0) -> EmpiricalLaw:
     pmf = {key: Fraction(k, cfg.replicates) for key, k in counts.items()}
     law = law_from_pmf(d, pmf, 0)
-    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards, blocks, CHUNK, workers)
+    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards, blocks, CHUNK)
 
 
 def simulate_T(M: Multiplex, cfg: SimulationConfig, backend: str = "auto") -> EmpiricalLaw:
     """Empirical joint law of per-layer monochromatic counts over
     cfg.replicates colorings. The law depends only on (c, replicates, seed);
-    shards, backend and worker count never change it."""
+    shards, backend and slice size never change it."""
     d = M.num_layers
     if cfg.c == 1:
         key = tuple(layer.num_edges for layer in M.layers)
@@ -586,14 +541,12 @@ def _exact(
     falling = [1]  # falling[k] = (c)_k, the colorings that realize a k-block partition
     for k in range(kmax):
         falling.append(falling[-1] * (c - k))
-    counts: Counter = Counter()
-
-    def merge(out: np.ndarray, blocks: np.ndarray) -> None:
-        for key, k in _row_counts(np.concatenate([out, blocks[:, None]], axis=1)):
-            counts[key[:-1]] += k * falling[key[-1]]
-
     count = _layer_counter(layers, weight_lists, n, c, "auto")
-    _count_slices(_partitions(n, kmax), count, merge, -(-states // CHUNK))
+    counts: Counter = Counter()
+    for rgs, blocks in _partitions(n, kmax):
+        out = np.concatenate([_count_in_slices(rgs, count), blocks[:, None]], axis=1)
+        for key, k in _row_counts(out):
+            counts[key[:-1]] += k * falling[key[-1]]
     pmf = {key: Fraction(total, c**n) for key, total in counts.items()}
     return law_from_pmf(len(layers), pmf, 0)
 

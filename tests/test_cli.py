@@ -224,22 +224,20 @@ class TestCompare:
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_results_independent_of_workers_and_shards(self, tmp_path, monkeypatch):
+    def test_results_independent_of_slices_and_shards(self, tmp_path, monkeypatch):
         obj = spec_to_obj(preset_spec("birthday"))
         obj["sizes"] = [20, 40]
         obj["replicates"] = BLOCK_SIZE + 700
         cfg = tmp_path / "spec.json"
         write_json(cfg, obj)
         outs = []
-        for workers, shards in ((1, 1), (2, 1), (2, 2), (2, 3)):
-            monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-            out = tmp_path / f"w{workers}s{shards}"
+        for chunk, shards in ((CHUNK, 1), (300, 1), (CHUNK, 2), (CHUNK, 3)):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+            out = tmp_path / f"k{chunk}s{shards}"
             assert run_cli("compare", "--config", cfg, "--shards", shards, "--out", out) == 0
             outs.append((out / "results.csv").read_bytes())
             rows = read_json(out / "manifest.json")["results"]
-            assert [r["counting"] for r in rows] == [
-                {"law": "simulate", "blocks": 2, "chunk": CHUNK, "workers": workers}
-            ] * 2
+            assert [r["counting"] for r in rows] == [{"law": "simulate", "blocks": 2, "chunk": chunk}] * 2
         assert len(set(outs)) == 1
         assert b"counting" not in outs[0]
 

@@ -1,7 +1,6 @@
 """Simulation engine: reproducibility, backend agreement, exactness."""
 
 import itertools
-import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -288,20 +287,17 @@ class TestSameColorPairs:
         with pytest.raises(ResourceBoundError):
             _same_color_pairs(np.full((2, 5), 70_000, dtype=np.int32))
 
-    def test_pair_budget_fits_in_2_gib(self, monkeypatch):
+    def test_pair_budget_fits_in_2_gib(self):
         # A 4096-row block on 100 vertices at c = 20 holds about 10^6 pairs;
         # its color matrix is small next to them, so peak bytes over pairs is
-        # the per-pair cost of listing pairs and of the AP kernel. With one
-        # worker per slice every slice of the block can be in flight at once;
-        # one slice alone gives the cost of a slice. The most pairs in flight
-        # are the most workers times the pairs one slice may hold.
+        # the per-pair cost of listing pairs and of the AP kernel. Slices are
+        # counted one at a time, so one slice alone gives the cost of a
+        # slice; the pairs of one slice never exceed PAIR_BUDGET.
         n, c, seed = 100, 20, 5
         colors = simulate._block_rng(seed, 0).integers(1, c + 1, size=(BLOCK_SIZE, n), dtype=np.int32)
         pairs = sum(int(k) * (int(k) - 1) // 2 for row in colors for k in np.bincount(row))
         assert 900_000 < pairs < 1_100_000
         slice_pairs = sum(int(k) * (int(k) - 1) // 2 for row in colors[:CHUNK] for k in np.bincount(row))
-        workers = BLOCK_SIZE // CHUNK
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
         per_pair = []
         for run, held in (
             (lambda: _same_color_pairs(colors), pairs),
@@ -314,9 +310,8 @@ class TestSameColorPairs:
                 per_pair.append(tracemalloc.get_traced_memory()[1] / held)
             finally:
                 tracemalloc.stop()
-        in_flight = workers * simulate._slice_pair_budget()
-        assert in_flight <= simulate.PAIR_BUDGET
-        assert in_flight * max(per_pair) <= 2 * 2**30
+        assert simulate._slice_pair_budget() <= simulate.PAIR_BUDGET
+        assert simulate.PAIR_BUDGET * max(per_pair) <= 2 * 2**30
 
     def test_auto_keeps_blocks_inside_pair_budget(self, monkeypatch):
         k35 = new_hypergraph(2, 35, itertools.combinations(range(35), 2))
@@ -627,79 +622,66 @@ def schedule_cases():
 
 
 class TestSchedule:
-    """The law never depends on the slice size or the worker count."""
+    """The law never depends on the slice size, and counting starts no thread."""
 
     @pytest.mark.parametrize("replicates", (BLOCK_SIZE + 700, 9216))
     @pytest.mark.parametrize("name", list(schedule_cases()))
-    def test_law_is_independent_of_slices_and_workers(self, name, replicates, monkeypatch):
+    def test_law_is_independent_of_slices(self, name, replicates, monkeypatch):
         c, call = schedule_cases()[name]
         cfg = new_simulation_config(c, replicates, 17)
         threads = threading.active_count()
-        # One slice per block on one thread: the block counted whole.
+        # One slice per block: the block counted whole.
         monkeypatch.setattr(simulate, "CHUNK", BLOCK_SIZE)
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
         reference = call(cfg).law
         blocks = -(-replicates // BLOCK_SIZE)
-        for chunk in (CHUNK, 300):  # 300 divides neither a block nor 700
+        for chunk in (CHUNK, 300, 64):  # 300 divides neither a block nor 700
             monkeypatch.setattr(simulate, "CHUNK", chunk)
-            for workers in (1, 2):
-                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-                emp = call(cfg)
-                assert emp.law == reference, (chunk, workers)
-                assert (emp.blocks, emp.chunk, emp.workers) == (blocks, chunk, workers)
-                assert threading.active_count() == threads
+            emp = call(cfg)
+            assert emp.law == reference, chunk
+            assert (emp.blocks, emp.chunk) == (blocks, chunk)
+        assert threading.active_count() == threads
 
-    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
-        # 8 workers on 64-row slices, the interpreter switching threads every
-        # 10 us: the merge must still see every slice once, in block order.
-        cases = schedule_cases()
-        cfg = new_simulation_config(5, 2 * BLOCK_SIZE + 300, 23)
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
-        reference = {name: cases[name][1](cfg).law for name in ("ap", "corr-er")}
-        monkeypatch.setattr(simulate, "CHUNK", 64)
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for name, law in reference.items():
-                emp = cases[name][1](cfg)
-                assert emp.workers == 8
-                assert emp.law == law, name
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_exact_law_is_independent_of_slices_and_workers(self, monkeypatch):
+    def test_exact_law_is_independent_of_slices(self, monkeypatch):
         # 9 vertices at c = 4: 11,051 partitions in chunks of up to 4096 rows.
         triples = new_hypergraph(3, 9, [[0, 1, 2], [0, 1, 3], [2, 3, 4], [4, 6, 8]])
         M = new_multiplex([triples, new_hypergraph(2, 9, itertools.combinations(range(9), 2))])
         assert _partition_count(9, 4) == 11051
         monkeypatch.setattr(simulate, "CHUNK", BLOCK_SIZE)
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
         reference = exact_law(M, 4)
-        for chunk, workers in ((CHUNK, 1), (CHUNK, 2), (300, 2)):
-            monkeypatch.setattr(simulate, "CHUNK", chunk)
-            monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-            assert exact_law(M, 4) == reference, (chunk, workers)
+        # Every partition slice is counted on the calling thread.
+        layer_counter = simulate._layer_counter
+        threads = set()
 
-    def test_refusal_is_independent_of_workers(self, monkeypatch):
+        def recording_counter(*args):
+            count = layer_counter(*args)
+
+            def recorded(rows):
+                threads.add(threading.get_ident())
+                return count(rows)
+
+            return recorded
+
+        monkeypatch.setattr(simulate, "_layer_counter", recording_counter)
+        for chunk in (CHUNK, 300):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+            assert exact_law(M, 4) == reference, chunk
+        assert threads == {threading.get_ident()}
+
+    def test_refusal_by_slice_budget(self, monkeypatch):
         # One 512-row slice on 100 vertices at c = 20 holds about 125,000
         # pairs; a slice budget of 200,000 admits every slice, 100,000 none.
         cfg = new_simulation_config(20, BLOCK_SIZE, 5)
-        for workers in (1, 2):
-            monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-            monkeypatch.setattr(simulate, "PAIR_BUDGET", 200_000 * BLOCK_SIZE // CHUNK)
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 200_000 * BLOCK_SIZE // CHUNK)
+        simulate_ap_T(100, 3, cfg)
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 100_000 * BLOCK_SIZE // CHUNK)
+        with pytest.raises(ResourceBoundError):
             simulate_ap_T(100, 3, cfg)
-            monkeypatch.setattr(simulate, "PAIR_BUDGET", 100_000 * BLOCK_SIZE // CHUNK)
-            with pytest.raises(ResourceBoundError):
-                simulate_ap_T(100, 3, cfg)
 
-    def test_workers_capped_by_slices(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
+    def test_blocks_recorded(self):
         M = new_multiplex([H3])
-        assert simulate_T(M, new_simulation_config(2, 700, 1)).workers == 2
-        assert simulate_T(M, new_simulation_config(2, 3 * BLOCK_SIZE, 1)).workers == BLOCK_SIZE // CHUNK
-        c1 = simulate_T(M, new_simulation_config(1, 700, 1))
-        assert (c1.blocks, c1.workers) == (0, 0)
+        assert simulate_T(M, new_simulation_config(2, 700, 1)).blocks == 1
+        assert simulate_T(M, new_simulation_config(2, 3 * BLOCK_SIZE, 1)).blocks == 3
+        assert simulate_T(M, new_simulation_config(1, 700, 1)).blocks == 0
 
 
 class TestConfigValidation:
