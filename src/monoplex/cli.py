@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -39,7 +40,6 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
-    new_hypergraph,
     new_multiplex,
 )
 from monoplex.families import (
@@ -263,6 +263,15 @@ def _multiplex_law(M: Multiplex, spec: ExperimentSpec, c: int, seed: int) -> Cou
     return _simulated(simulate_T(M, _config(spec, c, seed)))
 
 
+@contextmanager
+def _named(where: str):
+    """Prefix a refused law's message with what the law is for."""
+    try:
+        yield
+    except ResourceBoundError as exc:
+        raise ResourceBoundError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class BuiltScenario:
     """A scenario's instance at one size. Subclasses hold its structure and
@@ -290,16 +299,17 @@ class BuiltScenario:
     def target(self, tspec: dict, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         """The limit law that one target of the spec names, at this size."""
         kind = tspec["kind"]
-        if kind == "derived":
-            return self.derived(largest, c_largest, c, tail_tol)
-        rates = _target_rates(tspec, f"targets[{tspec['label']}]")
-        if kind == "poisson":
-            return poisson_law(rates, tail_tol)
-        if kind == "binom2-poisson":
-            return binom2_poisson_law(rates, tail_tol)
-        if kind == "shared":
-            return shared_component_law(new_shared_component_spec(self.dimension, rates), tail_tol)
-        return compound_weighted_law(rates, tail_tol)
+        with _named(f"targets[{tspec['label']}]"):
+            if kind == "derived":
+                return self.derived(largest, c_largest, c, tail_tol)
+            rates = _target_rates(tspec, f"targets[{tspec['label']}]")
+            if kind == "poisson":
+                return poisson_law(rates, tail_tol)
+            if kind == "binom2-poisson":
+                return binom2_poisson_law(rates, tail_tol)
+            if kind == "shared":
+                return shared_component_law(new_shared_component_spec(self.dimension, rates), tail_tol)
+            return compound_weighted_law(rates, tail_tol)
 
 
 @dataclass(frozen=True)
@@ -394,10 +404,11 @@ class AppendixBScenario(BuiltScenario):
         nested[frozenset({1, 2, 3})] = lp
         pairwise = {frozenset({i}): li - 2 * lp for i in (1, 2, 3)}
         pairwise.update({frozenset(pair): lp for pair in itertools.combinations((1, 2, 3), 2)})
-        return {
-            "nested": shared_component_law(new_shared_component_spec(3, nested), tail_tol),
-            "pairwise": shared_component_law(new_shared_component_spec(3, pairwise), tail_tol),
-        }
+        laws = {}
+        for name, rates in (("nested", nested), ("pairwise", pairwise)):
+            with _named(f"{name} limit law"):
+                laws[name] = shared_component_law(new_shared_component_spec(3, rates), tail_tol)
+        return laws
 
     def rows(self, spec: ExperimentSpec, c: int, largest: BuiltScenario, c_largest: int) -> list[dict]:
         limits = self.limits(c, spec.tail_tol)
@@ -427,7 +438,7 @@ def _complete(n: int) -> UniformHypergraph:
     """K_n as a 2-uniform hypergraph."""
     if n < 2:
         raise ValidationError(f"n: complete graph needs n >= 2, got {n}")
-    return new_hypergraph(2, n, itertools.combinations(range(n), 2))
+    return UniformHypergraph(2, n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def _blocks_graph(blocks: int, triangle_fraction: float):
@@ -586,7 +597,11 @@ def _compare_row(n: int, c: int, label: str, emp: DiscreteLaw, target: DiscreteL
 
 def run_compare(spec: ExperimentSpec) -> list[dict]:
     """All comparison rows for the sweep, in size order."""
-    built_by_n = {n: build_scenario(spec, n) for n in spec.sizes}
+    built_by_n, build_s = {}, {}
+    for n in spec.sizes:
+        t0 = time.perf_counter()
+        built_by_n[n] = build_scenario(spec, n)
+        build_s[n] = round(time.perf_counter() - t0, 3)
     c_by_n = {n: resolve_colors(spec.c_rule, built_by_n[n]) for n in spec.sizes}
     if spec.law == "simulate":
         for n in spec.sizes:  # every size's c fits the draw before any law runs
@@ -597,7 +612,7 @@ def run_compare(spec: ExperimentSpec) -> list[dict]:
         t0 = time.perf_counter()
         size_rows = built_by_n[n].rows(spec, c_by_n[n], built_by_n[n_largest], c_by_n[n_largest])
         runtime = round(time.perf_counter() - t0, 3)
-        rows.extend(dict(row, runtime_s=runtime) for row in size_rows)
+        rows.extend(dict(row, build_s=build_s[n], runtime_s=runtime) for row in size_rows)
     return rows
 
 

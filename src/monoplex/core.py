@@ -1,8 +1,9 @@
 """Core types and exact counting for uniform hypergraphs and multiplexes.
 
-Vertices are dense 0-based integers. Hyperedges are stored as sorted tuples and
-edge sets are kept in lexicographic order, so equal hypergraphs compare equal
-and every iteration is deterministic. All types are immutable after
+Vertices are dense 0-based integers. Hyperedges are sorted vertex tuples and
+edge sets are kept in lexicographic order, held as tuples or as an int32
+array (see UniformHypergraph), so equal hypergraphs compare equal and every
+iteration is deterministic. All types are immutable after
 construction and safe to share across threads.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -28,30 +28,70 @@ class ResourceBoundError(RuntimeError):
     """Requested computation exceeds a configured size bound."""
 
 
-@dataclass(frozen=True)
 class UniformHypergraph:
-    """r-uniform hypergraph on vertices [0, num_vertices)."""
+    """r-uniform hypergraph on vertices [0, num_vertices).
 
-    uniformity: int
-    num_vertices: int
-    edges: tuple[Edge, ...]
+    edges is a tuple of sorted vertex tuples, or an (E, r) integer array of
+    the same rows; either way in lexicographic order. The family builders
+    pass arrays. A hypergraph keeps the form it was given and builds the other
+    on first use: edges as tuples, edge_array as a read-only int32 array.
+    Equality and hashing compare contents, so both forms of one edge set are
+    equal.
+    """
+
+    def __init__(self, uniformity: int, num_vertices: int, edges: tuple[Edge, ...] | np.ndarray) -> None:
+        if isinstance(edges, np.ndarray):
+            array = np.array(edges, dtype=np.int32).reshape(-1, uniformity)
+            array.flags.writeable = False
+            edges = None
+        else:
+            array, edges = None, tuple(edges)
+        for name, value in (("uniformity", uniformity), ("num_vertices", num_vertices), ("_edges", edges), ("_array", array)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UniformHypergraph is immutable: cannot set {name!r}")
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(map(tuple, self._array.tolist())))
+        return self._edges
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (num_edges, uniformity) int32 array."""
+        if self._array is None:
+            flat = itertools.chain.from_iterable(self._edges)
+            array = np.fromiter(flat, dtype=np.int32, count=len(self._edges) * self.uniformity)
+            array = array.reshape(-1, self.uniformity)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self._array
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edges if self._array is None else self._array)
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (num_edges, uniformity) int32 array,
-        built on first use and kept with the layer."""
-        flat = itertools.chain.from_iterable(self.edges)
-        arr = np.fromiter(flat, dtype=np.int32, count=len(self.edges) * self.uniformity)
-        arr = arr.reshape(-1, self.uniformity)
-        arr.flags.writeable = False
-        return arr
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniformHypergraph):
+            return NotImplemented
+        return (
+            (self.uniformity, self.num_vertices) == (other.uniformity, other.num_vertices)
+            and np.array_equal(self.edge_array, other.edge_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.uniformity, self.num_vertices, self.edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"UniformHypergraph(uniformity={self.uniformity}, "
+            f"num_vertices={self.num_vertices}, num_edges={self.num_edges})"
+        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +187,15 @@ def new_weighted_hypergraph(
         )
     base = new_hypergraph(r, n, edges)
     by_edge = {tuple(sorted(e)): w for e, w in zip(edges, weights)}
-    aligned = tuple(by_edge[e] for e in base.edges)
+    return weighted_layer(base, [by_edge[e] for e in base.edges], weight_bound)
+
+
+def weighted_layer(
+    base: UniformHypergraph, weights: Sequence[int], weight_bound: int | None = None
+) -> WeightedUniformHypergraph:
+    """Pair base's edges, in base.edges order, with integer weights in
+    [1, weight_bound]; weight_bound None takes the largest weight."""
+    aligned = tuple(weights)
     for i, w in enumerate(aligned):
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise ValidationError(f"weights[{i}]: weight must be an integer >= 1, got {w!r}")

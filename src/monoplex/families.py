@@ -4,13 +4,16 @@ Clique and subgraph-copy hypergraphs of a host graph, arithmetic-progression
 hypergraphs, weighted vertex-subset hypergraphs, two hand-crafted multiplex
 families with prescribed overlap structure, and a correlated two-layer
 Erdos-Renyi sampler.
+
+The copy, appendix and Erdos-Renyi builders make their layers from numpy
+edge arrays, which the layers keep (see core.UniformHypergraph); subgraph
+copies come from a level-wise join over the host's sorted adjacency lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -23,8 +26,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
-    new_hypergraph,
-    new_weighted_hypergraph,
+    weighted_layer,
 )
 
 PATTERN_MAX_VERTICES = 8
@@ -161,45 +163,83 @@ def clique_hypergraph(G: SimpleGraph, r: int) -> UniformHypergraph:
     return UniformHypergraph(r, G.num_vertices, tuple(out))
 
 
-def _copy_maps(G: SimpleGraph, F: PatternGraph) -> Iterable[dict[int, int]]:
-    """All injective maps V(F) -> V(G) sending F-edges to G-edges."""
-    k = F.num_vertices
-    adj_g = _adjacency(G)
+def _pairs(vertices: np.ndarray) -> np.ndarray:
+    """All 2-subsets of an increasing vertex array, in lexicographic order."""
+    i, j = np.triu_indices(len(vertices), 1)
+    return np.column_stack((vertices[i], vertices[j]))
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and how many
+    times each occurs."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return rows[starts], np.diff(np.append(starts, len(rows)))
+
+
+# Candidate cells one step of the copy-map join may hold at once (int64 each).
+_JOIN_CELLS = 1 << 20
+
+
+def _copy_maps(G: SimpleGraph, F: PatternGraph) -> np.ndarray:
+    """All injective maps V(F) -> V(G) sending F-edges to G-edges, one per
+    row; column u holds the image of pattern vertex u.
+
+    Pattern vertices are mapped one level at a time. Each level extends every
+    partial map by the neighbours of one mapped pattern neighbour's image
+    (by every vertex when there is none), keeps those adjacent to the other
+    mapped neighbours' images, and drops the vertices already used. The rows
+    come in the order of the depth-first search that tries candidates in
+    increasing order (its reference version is in tests/oracles.py).
+    """
+    k, n = F.num_vertices, G.num_vertices
     adj_f = _adjacency(F.graph)
     # Map high-degree pattern vertices first, preferring those with already
     # mapped neighbors, so adjacency constraints prune early.
     order: list[int] = []
-    placed: set[int] = set()
     remaining = set(range(k))
     while remaining:
         best = max(
             remaining,
-            key=lambda u: (len(adj_f[u] & placed), len(adj_f[u]), -u),
+            key=lambda u: (len(adj_f[u] & set(order)), len(adj_f[u]), -u),
         )
         order.append(best)
-        placed.add(best)
         remaining.remove(best)
-    mapped: dict[int, int] = {}
-    used: set[int] = set()
+    # G as sorted arcs: the neighbours of v are nbrs[start[v]:start[v + 1]].
+    arcs = np.array(G.edges, dtype=np.int64).reshape(-1, 2)
+    arcs = np.concatenate((arcs, arcs[:, ::-1]))
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    nbrs, arc_keys = arcs[:, 1], arcs[:, 0] * n + arcs[:, 1]
+    start = np.searchsorted(arcs[:, 0], np.arange(n + 1))
+    degree = np.diff(start)
 
-    def rec(i: int):
-        if i == k:
-            yield dict(mapped)
-            return
-        u = order[i]
-        anchors = [w for w in adj_f[u] if w in mapped]
+    def extend(maps: np.ndarray, anchors: list[int]) -> np.ndarray:
         if anchors:
-            cands = set.intersection(*(adj_g[mapped[w]] for w in anchors))
+            first = maps[:, anchors[0]]
+            counts, base = degree[first], start[first]
         else:
-            cands = set(range(G.num_vertices))
-        for g in sorted(cands - used):
-            mapped[u] = g
-            used.add(g)
-            yield from rec(i + 1)
-            del mapped[u]
-            used.remove(g)
+            counts, base = np.full(len(maps), n), np.zeros(len(maps), dtype=np.int64)
+        row = np.repeat(np.arange(len(maps)), counts)
+        offset = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cand = nbrs[base[row] + offset] if anchors else offset
+        keep = np.ones(len(row), dtype=bool)
+        for a in anchors[1:]:
+            keep &= np.isin(maps[row, a] * n + cand, arc_keys)
+        for j in range(maps.shape[1]):
+            keep &= maps[row, j] != cand
+        return np.column_stack((maps[row[keep]], cand[keep]))
 
-    yield from rec(0)
+    maps = np.zeros((1, 0), dtype=np.int64)
+    for i, u in enumerate(order):
+        anchors = [order.index(w) for w in adj_f[u] if order.index(w) < i]
+        width = int(degree.max(initial=0)) if anchors else n
+        step = max(1, _JOIN_CELLS // max(1, width))
+        maps = np.concatenate(
+            [extend(maps[lo : lo + step], anchors) for lo in range(0, max(1, len(maps)), step)]
+        )
+    return maps[:, np.argsort(order)]
 
 
 def copies_hypergraph(G: SimpleGraph, F: PatternGraph) -> CopiesResult:
@@ -210,13 +250,12 @@ def copies_hypergraph(G: SimpleGraph, F: PatternGraph) -> CopiesResult:
     """
     if F.graph.num_edges < 1:
         raise ValidationError("pattern must have at least one edge")
-    edge_index = {e: i for i, e in enumerate(G.edges)}
-    copies: set[tuple[int, ...]] = set()
-    for phi in _copy_maps(G, F):
-        ids = {edge_index[tuple(sorted((phi[u], phi[v])))] for u, v in F.edges}
-        copies.add(tuple(sorted(ids)))
-    H = UniformHypergraph(F.graph.num_edges, G.num_edges, tuple(sorted(copies)))
-    return CopiesResult(H, G.edges)
+    maps, n = _copy_maps(G, F), G.num_vertices
+    g_edges, f_edges = (np.array(X.edges, dtype=np.int64).reshape(-1, 2) for X in (G, F.graph))
+    ends = maps[:, f_edges[:, 0]], maps[:, f_edges[:, 1]]
+    edge_ids = np.searchsorted(g_edges @ (n, 1), np.minimum(*ends) * n + np.maximum(*ends))
+    copies, _ = _distinct_rows(np.sort(edge_ids, axis=1))
+    return CopiesResult(UniformHypergraph(F.graph.num_edges, G.num_edges, copies), G.edges)
 
 
 def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
@@ -252,25 +291,12 @@ def ap_count_closed_form(n: int, r: int) -> int:
 
 
 def automorphism_count(F: PatternGraph) -> int:
-    """Order of the automorphism group, by exhaustive permutation check."""
-    n = F.num_vertices
-    if n > PATTERN_MAX_VERTICES:
+    """Order of the automorphism group: the copy maps of F into itself."""
+    if F.num_vertices > PATTERN_MAX_VERTICES:
         raise ValidationError(
-            f"pattern graph has {n} vertices, policy bound is {PATTERN_MAX_VERTICES}"
+            f"pattern graph has {F.num_vertices} vertices, policy bound is {PATTERN_MAX_VERTICES}"
         )
-    edge_set = set(F.edges)
-    pairs = list(itertools.combinations(range(n), 2))
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for u, v in pairs:
-            pu, pv = perm[u], perm[v]
-            if ((u, v) in edge_set) != ((min(pu, pv), max(pu, pv)) in edge_set):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return len(_copy_maps(F.graph, F))
 
 
 def vertex_copy_weighted_hypergraph(
@@ -282,18 +308,13 @@ def vertex_copy_weighted_hypergraph(
     k = F.num_vertices
     if k < 2:
         raise ValidationError(f"pattern must have >= 2 vertices, got {k}")
+    if G.num_vertices < k:
+        raise ValidationError(f"num_vertices: must be an integer >= uniformity {k}, got {G.num_vertices}")
     aut = automorphism_count(F)
-    image_counts: Counter[tuple[int, ...]] = Counter()
-    for phi in _copy_maps(G, F):
-        image_counts[tuple(sorted(phi.values()))] += 1
-    edges = sorted(image_counts)
-    weights = []
-    for s in edges:
-        maps = image_counts[s]
-        if maps % aut != 0:
-            raise AssertionError(f"map count {maps} not divisible by |Aut| = {aut}")
-        weights.append(maps // aut)
-    return new_weighted_hypergraph(k, G.num_vertices, [list(e) for e in edges], weights, weight_bound)
+    images, maps = _distinct_rows(np.sort(_copy_maps(G, F), axis=1))
+    if np.any(maps % aut):
+        raise AssertionError(f"map counts not divisible by |Aut| = {aut}")
+    return weighted_layer(UniformHypergraph(k, G.num_vertices, images), (maps // aut).tolist(), weight_bound)
 
 
 def appendix_star_hypergraph(n: int) -> UniformHypergraph:
@@ -301,8 +322,9 @@ def appendix_star_hypergraph(n: int) -> UniformHypergraph:
     vertex 0; C(n-1, 2) edges."""
     if n < 3:
         raise ValidationError(f"n: must be >= 3, got {n}")
-    edges = tuple((0, a, b) for a, b in itertools.combinations(range(1, n), 2))
-    return UniformHypergraph(3, n, edges)
+    pairs = _pairs(np.arange(1, n))
+    return UniformHypergraph(3, n, np.column_stack((np.zeros(len(pairs), dtype=np.int64), pairs)))
+
 
 
 def appendix_three_multiplex(n: int, lam: float, variant: str) -> Multiplex:
@@ -327,27 +349,14 @@ def appendix_three_multiplex(n: int, lam: float, variant: str) -> Multiplex:
     m = math.floor(lam * n)
     if variant == "nested":
         universe = 3 * n - 2 * m
-        common = list(range(m))
-        blocks = [
-            common + list(range(m + i * (n - m), m + (i + 1) * (n - m)))
-            for i in range(3)
-        ]
+        blocks = [np.r_[0:m, m + i * (n - m) : m + (i + 1) * (n - m)] for i in range(3)]
     else:
         universe = 3 * n - 3 * m
-        b12 = list(range(m))
-        b13 = list(range(m, 2 * m))
-        b23 = list(range(2 * m, 3 * m))
+        b12, b13, b23 = (np.arange(i * m, (i + 1) * m) for i in range(3))
         priv = n - 2 * m
-        start = 3 * m
-        p1 = list(range(start, start + priv))
-        p2 = list(range(start + priv, start + 2 * priv))
-        p3 = list(range(start + 2 * priv, start + 3 * priv))
-        blocks = [b12 + b13 + p1, b12 + b23 + p2, b13 + b23 + p3]
-    layers = tuple(
-        UniformHypergraph(2, universe, tuple(itertools.combinations(sorted(b), 2)))
-        for b in blocks
-    )
-    return Multiplex(universe, layers)
+        p1, p2, p3 = (np.arange(3 * m + i * priv, 3 * m + (i + 1) * priv) for i in range(3))
+        blocks = [np.concatenate(parts) for parts in ((b12, b13, p1), (b12, b23, p2), (b13, b23, p3))]
+    return Multiplex(universe, tuple(UniformHypergraph(2, universe, _pairs(b)) for b in blocks))
 
 
 def new_correlated_er_params(n: int, r: int, p: float, rho: float) -> CorrelatedErParams:
@@ -422,28 +431,17 @@ def sample_correlated_er(
 
     if method == "dense":
         u = rng.random(M)
-        e1: list[tuple[int, ...]] = []
-        e2: list[tuple[int, ...]] = []
-        hi2 = 2.0 * p - p12
-        for s, x in zip(itertools.combinations(range(n), r), u):
-            if x < p12:
-                e1.append(s)
-                e2.append(s)
-            elif x < p:
-                e1.append(s)
-            elif x < hi2:
-                e2.append(s)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+        subsets = np.fromiter(flat, dtype=np.int64, count=M * r).reshape(M, r)
+        e1 = subsets[u < p]
+        e2 = subsets[(u < p12) | ((u >= p) & (u < 2.0 * p - p12))]
     elif method == "sparse":
         q_any = 2.0 * p - p12
         positions = _sparse_positions(M, q_any, rng)
         v = rng.random(len(positions))
-        pairs = _unrank_pairs(positions, n)
-        both_hi = p12 / q_any
-        one_hi = p / q_any
-        e1 = [s for s, x in zip(pairs, v) if x < one_hi]
-        e2 = [s for s, x in zip(pairs, v) if x < both_hi or x >= one_hi]
+        pairs = np.array(_unrank_pairs(positions, n), dtype=np.int64).reshape(-1, 2)
+        e1 = pairs[v < p / q_any]
+        e2 = pairs[(v < p12 / q_any) | (v >= p / q_any)]
     else:
         raise ValidationError(f"method: unknown mode {method!r}")
-    L1 = UniformHypergraph(r, n, tuple(e1))
-    L2 = UniformHypergraph(r, n, tuple(e2))
-    return Multiplex(n, (L1, L2))
+    return Multiplex(n, (UniformHypergraph(r, n, e1), UniformHypergraph(r, n, e2)))

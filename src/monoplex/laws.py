@@ -10,12 +10,16 @@ Fraction arithmetic when they receive it.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
 from typing import Iterable, Mapping, Sequence, Union
 
-from monoplex.core import ValidationError
+import numpy as np
+
+from monoplex.core import ResourceBoundError, ValidationError
 
 Real = Union[float, Fraction]
 
@@ -24,6 +28,13 @@ DEFAULT_TAIL_TOL = 1e-10
 MAX_JOINT_DIMENSION = 4
 
 _NORMALIZATION_SLACK = 1e-12
+
+# Past this rate exp(-rate) is no longer a normal float: the Poisson
+# recurrence then starts from a subnormal or zero and loses the law's mass.
+MAX_POISSON_RATE = -math.log(sys.float_info.min)
+
+# States a dense joint law may hold (8 bytes each).
+MAX_LAW_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,10 @@ def _poisson_terms(lam: float, tol: float) -> tuple[list[float], float]:
     the smallest k_max with remaining mass < tol."""
     if lam < 0:
         raise ValidationError(f"rate: must be >= 0, got {lam}")
+    if lam > MAX_POISSON_RATE:
+        raise ResourceBoundError(
+            f"Poisson rate {lam} exceeds {MAX_POISSON_RATE:.2f}, past which exp(-rate) underflows"
+        )
     if lam == 0:
         return [1.0], 0.0
     terms = []
@@ -86,7 +101,7 @@ def _poisson_terms(lam: float, tol: float) -> tuple[list[float], float]:
         k += 1
         p *= lam / k
         if k > 100_000:
-            raise ResourceWarning(f"poisson truncation did not converge for rate {lam}")
+            raise ResourceBoundError(f"poisson truncation did not converge for rate {lam}")
     return terms, max(0.0, 1.0 - cum)
 
 
@@ -116,34 +131,50 @@ def new_shared_component_spec(
     return SharedComponentSpec(d, canon)
 
 
+def _poisson_sum(
+    d: int, steps: Sequence[tuple[int, ...]], rates: Sequence[float], tail_tol: float
+) -> DiscreteLaw:
+    """Law of the d-vector sum over j of steps[j] * Z_j, for independent
+    Z_j ~ Pois(rates[j]) each truncated at tail_tol / (number of positive
+    rates): a convolution in float64 on a dense array over the box of the
+    sums the truncated terms reach. The tail is the mass the truncation drops."""
+    active = [(step, lam) for step, lam in zip(steps, rates) if lam > 0]
+    per_comp_tol = tail_tol / max(1, len(active))
+    dist = np.ones((1,) * d)
+    for step, lam in active:
+        terms, _ = _poisson_terms(lam, per_comp_tol)
+        top = len(terms) - 1
+        shape = tuple(a + top * b for a, b in zip(dist.shape, step))
+        if math.prod(shape) > MAX_LAW_CELLS:
+            raise ResourceBoundError(
+                f"law over {' x '.join(map(str, shape))} states exceeds bound {MAX_LAW_CELLS}"
+            )
+        nxt = np.zeros(shape)
+        # k runs down: a state reached from several k adds its terms from the
+        # largest k first, as the dict convolution in tests/oracles.py does.
+        for k in range(top, -1, -1):
+            nxt[tuple(slice(k * b, k * b + a) for a, b in zip(dist.shape, step))] += terms[k] * dist
+        dist = nxt
+    states = np.nonzero(dist)
+    masses = dist[states].tolist()
+    pmf = dict(zip(zip(*(axis.tolist() for axis in states)), masses))
+    # Component tails compound multiplicatively; the union bound keeps the
+    # reported tail an upper bound on the truncated mass.
+    return _make_law(d, pmf, max(1.0 - fsum(masses), 0.0))
+
+
 def shared_component_law(
     spec: SharedComponentSpec, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> DiscreteLaw:
     """Joint law of (T_1..T_d) with T_i = sum of Z_S over subsets S containing
-    i, for independent Z_S ~ Pois(rate_S), by exact truncated convolution."""
+    i, for independent Z_S ~ Pois(rate_S), by _poisson_sum."""
     d = spec.dimension
     if d > MAX_JOINT_DIMENSION:
         raise ValidationError(
             f"dimension {d} exceeds joint-law bound {MAX_JOINT_DIMENSION}"
         )
-    active = [(s, lam) for s, lam in spec.rates.items() if lam > 0]
-    per_comp_tol = tail_tol / max(1, len(active))
-    dist: dict[tuple[int, ...], float] = {(0,) * d: 1.0}
-    tail = 0.0
-    for s, lam in active:
-        step = tuple(1 if i + 1 in s else 0 for i in range(d))
-        terms, comp_tail = _poisson_terms(lam, per_comp_tol)
-        tail += comp_tail
-        nxt: dict[tuple[int, ...], float] = {}
-        for x, px in dist.items():
-            for k, pk in enumerate(terms):
-                y = tuple(a + k * b for a, b in zip(x, step))
-                nxt[y] = nxt.get(y, 0.0) + px * pk
-        dist = nxt
-    # Component tails compound multiplicatively; the union bound keeps the
-    # reported tail an upper bound on the truncated mass.
-    realized_tail = 1.0 - fsum(dist.values())
-    return _make_law(d, dist, max(realized_tail, 0.0))
+    steps = [tuple(int(i + 1 in s) for i in range(d)) for s in spec.rates]
+    return _poisson_sum(d, steps, list(spec.rates.values()), tail_tol)
 
 
 def compound_weighted_law(
@@ -152,21 +183,10 @@ def compound_weighted_law(
     """Law of sum over i of i*Z_i, i = 1..K, independent Z_i ~ Pois(rates[i-1])."""
     if len(rates) < 1:
         raise ValidationError("rates: at least one rate required")
-    active = [(i + 1, lam) for i, lam in enumerate(rates) if lam > 0]
     for i, lam in enumerate(rates):
         if lam < 0:
             raise ValidationError(f"rates[{i}]: must be >= 0, got {lam}")
-    per_comp_tol = tail_tol / max(1, len(active))
-    dist: dict[int, float] = {0: 1.0}
-    for i, lam in active:
-        terms, _ = _poisson_terms(lam, per_comp_tol)
-        nxt: dict[int, float] = {}
-        for x, px in dist.items():
-            for k, pk in enumerate(terms):
-                nxt[x + i * k] = nxt.get(x + i * k, 0.0) + px * pk
-        dist = nxt
-    realized_tail = 1.0 - fsum(dist.values())
-    return _make_law(1, {(x,): p for x, p in dist.items()}, max(realized_tail, 0.0))
+    return _poisson_sum(1, [(i + 1,) for i in range(len(rates))], rates, tail_tol)
 
 
 def binom2_poisson_law(mu: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DiscreteLaw:
@@ -196,23 +216,26 @@ def tv_distance(P: DiscreteLaw, Q: DiscreteLaw) -> Real:
 
 def law_moments(P: DiscreteLaw) -> LawMoments:
     """Mean vector and covariance matrix of the truncated pmf, exact when the
-    masses are rational."""
+    masses are rational: those are summed as integer numerators over one
+    common denominator. Float masses are summed exactly rounded (fsum)."""
     d = P.dimension
-    items = list(P.pmf.items())
-    rational = all(isinstance(p, Fraction) for _, p in items) and items
-    def acc(values):
-        return sum(values, Fraction(0)) if rational else fsum(values)
-
-    total = acc([p for _, p in items])
+    masses = list(P.pmf.values())
+    cols = list(zip(*P.pmf))  # per axis, the states' coordinates
+    rational = bool(masses) and all(isinstance(p, Fraction) for p in masses)
+    if rational:
+        den = math.lcm(*(p.denominator for p in masses))
+        masses = [p.numerator * (den // p.denominator) for p in masses]
+    acc, ratio = (sum, Fraction) if rational else (fsum, operator.truediv)
+    total = acc(masses)
     if total == 0:
-        zero = Fraction(0) if rational else 0.0
-        return LawMoments((zero,) * d, tuple((zero,) * d for _ in range(d)))
-    means = tuple(acc([x[i] * p for x, p in items]) / total for i in range(d))
-    cov = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            second = acc([x[i] * x[j] * p for x, p in items]) / total
-            row.append(second - means[i] * means[j])
-        cov.append(tuple(row))
-    return LawMoments(means, tuple(cov))
+        return LawMoments((0.0,) * d, tuple((0.0,) * d for _ in range(d)))
+
+    def mean(values):
+        return ratio(acc(map(operator.mul, values, masses)), total)
+
+    means = tuple(mean(cols[i]) for i in range(d))
+    cov = tuple(
+        tuple(mean(map(operator.mul, cols[i], cols[j])) - means[i] * means[j] for j in range(d))
+        for i in range(d)
+    )
+    return LawMoments(means, cov)

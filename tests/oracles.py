@@ -1,7 +1,14 @@
-"""Direct O(m^2) pair scans: test oracles for the overlap counters in
-monoplex.core."""
+"""Reference implementations that tests compare the fast paths against:
+direct O(m^2) pair scans for the overlap counters in monoplex.core, the
+depth-first copy-map search for monoplex.families, and dict convolutions
+for the Poisson laws in monoplex.laws."""
+
+import itertools
+from collections import Counter
+from math import fsum
 
 from monoplex.core import UniformHypergraph, ValidationError, WeightedUniformHypergraph
+from monoplex.laws import _poisson_terms
 
 
 def k_exact_pairwise(t: int, H: UniformHypergraph) -> int:
@@ -45,3 +52,119 @@ def weighted_pair_sums_pairwise(t: int, WH: WeightedUniformHypergraph) -> int:
             if i != j and len(e1 & e2) == t:
                 total += w1 * w2
     return total
+
+
+def copy_maps_recursive(G, F):
+    """All injective maps V(F) -> V(G) sending F-edges to G-edges, as dicts,
+    by depth-first search; test oracle for monoplex.families._copy_maps."""
+    k = F.num_vertices
+    adj_g = _adjacency(G.num_vertices, G.edges)
+    adj_f = _adjacency(k, F.edges)
+    # Map high-degree pattern vertices first, preferring those with already
+    # mapped neighbors, so adjacency constraints prune early.
+    order: list[int] = []
+    placed: set[int] = set()
+    remaining = set(range(k))
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda u: (len(adj_f[u] & placed), len(adj_f[u]), -u),
+        )
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    mapped: dict[int, int] = {}
+    used: set[int] = set()
+
+    def rec(i: int):
+        if i == k:
+            yield dict(mapped)
+            return
+        u = order[i]
+        anchors = [w for w in adj_f[u] if w in mapped]
+        if anchors:
+            cands = set.intersection(*(adj_g[mapped[w]] for w in anchors))
+        else:
+            cands = set(range(G.num_vertices))
+        for g in sorted(cands - used):
+            mapped[u] = g
+            used.add(g)
+            yield from rec(i + 1)
+            del mapped[u]
+            used.remove(g)
+
+    yield from rec(0)
+
+
+def _adjacency(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def copies_edges_recursive(G, F):
+    """Sorted edge-id tuples of the copies of F in G, from the recursive
+    maps; test oracle for copies_hypergraph."""
+    edge_index = {e: i for i, e in enumerate(G.edges)}
+    copies = set()
+    for phi in copy_maps_recursive(G, F):
+        ids = {edge_index[tuple(sorted((phi[u], phi[v])))] for u, v in F.edges}
+        copies.add(tuple(sorted(ids)))
+    return tuple(sorted(copies))
+
+
+def vertex_copy_weights_recursive(G, F):
+    """(edges, weights) of vertex_copy_weighted_hypergraph from the
+    recursive maps and a k! automorphism count; test oracle."""
+    k = F.num_vertices
+    edge_set = set(F.edges)
+    aut = sum(
+        all(((u, v) in edge_set) == ((min(p[u], p[v]), max(p[u], p[v])) in edge_set)
+            for u, v in itertools.combinations(range(k), 2))
+        for p in itertools.permutations(range(k))
+    )
+    images = Counter(tuple(sorted(phi.values())) for phi in copy_maps_recursive(G, F))
+    edges = tuple(sorted(images))
+    return edges, tuple(images[s] // aut for s in edges)
+
+
+# The dict convolutions visit states in sorted order, so each sum adds its
+# terms from the largest k down, one fixed order that the array kernel also
+# follows; in insertion order the masses would differ in their last bits.
+
+
+def shared_component_law_dict(spec, tail_tol):
+    """(pmf, tail) of shared_component_law by a dict convolution over tuple
+    states; test oracle for the array kernel in monoplex.laws."""
+    d = spec.dimension
+    active = [(s, lam) for s, lam in spec.rates.items() if lam > 0]
+    per_comp_tol = tail_tol / max(1, len(active))
+    dist = {(0,) * d: 1.0}
+    for s, lam in active:
+        step = tuple(1 if i + 1 in s else 0 for i in range(d))
+        terms, _ = _poisson_terms(lam, per_comp_tol)
+        nxt = {}
+        for x, px in sorted(dist.items()):
+            for k, pk in enumerate(terms):
+                y = tuple(a + k * b for a, b in zip(x, step))
+                nxt[y] = nxt.get(y, 0.0) + px * pk
+        dist = nxt
+    return {x: p for x, p in dist.items() if p != 0}, max(1.0 - fsum(dist.values()), 0.0)
+
+
+def compound_weighted_law_dict(rates, tail_tol):
+    """(pmf, tail) of compound_weighted_law by a dict convolution; test
+    oracle for the array kernel in monoplex.laws."""
+    active = [(i + 1, lam) for i, lam in enumerate(rates) if lam > 0]
+    per_comp_tol = tail_tol / max(1, len(active))
+    dist = {0: 1.0}
+    for i, lam in active:
+        terms, _ = _poisson_terms(lam, per_comp_tol)
+        nxt = {}
+        for x, px in sorted(dist.items()):
+            for k, pk in enumerate(terms):
+                nxt[x + i * k] = nxt.get(x + i * k, 0.0) + px * pk
+        dist = nxt
+    return {(x,): p for x, p in dist.items() if p != 0}, max(1.0 - fsum(dist.values()), 0.0)

@@ -353,6 +353,34 @@ class TestCompare:
         assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 3
         assert "resource bound" in capsys.readouterr().err
 
+    def test_poisson_rate_past_underflow_exits_3(self, tmp_path, capsys):
+        # K200 at c = 10 has mean 19900 / 10 = 1990: exp(-1990) is 0.0 in floats
+        spec_obj = spec_to_obj(
+            make_spec(
+                scenario="complete-graph",
+                params={},
+                c_rule={"kind": "fixed", "value": 10},
+                sizes=(200,),
+                law="simulate",
+                targets=({"kind": "derived", "label": "product-pois"},),
+            )
+        )
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_obj)
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert "targets[product-pois]" in err and "rate 1990.0" in err
+        assert "Traceback" not in err
+
+    def test_manifest_records_build_time(self, tmp_path):
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(make_spec(sizes=(3, 4))))
+        out = tmp_path / "run"
+        assert run_cli("compare", "--config", cfg, "--out", out) == 0
+        rows = read_json(out / "manifest.json")["results"]
+        assert len(rows) == 2
+        assert all(row["build_s"] >= 0 and row["runtime_s"] >= 0 for row in rows)
+
     def test_json_format(self, tmp_path):
         cfg = tmp_path / "spec.json"
         write_json(cfg, spec_to_obj(make_spec()))

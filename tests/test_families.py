@@ -1,17 +1,23 @@
 """Hypergraph family builders."""
 
 import itertools
+import json
 from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monoplex.core import (
     ValidationError,
     layer_intersection,
     m_t,
 )
+from monoplex import cli
+from monoplex.core import UniformHypergraph
 from monoplex.families import (
+    _copy_maps,
     ap_count_closed_form,
     ap_hypergraph,
     appendix_star_hypergraph,
@@ -30,6 +36,8 @@ from monoplex.families import (
     vertex_copy_weighted_hypergraph,
     _unrank_pairs,
 )
+from monoplex.serialize import hypergraph_from_obj, hypergraph_to_obj
+from oracles import copies_edges_recursive, copy_maps_recursive, vertex_copy_weights_recursive
 
 TRIANGLE = new_pattern_graph(3, [[0, 1], [1, 2], [0, 2]])
 PATH3 = new_pattern_graph(3, [[0, 1], [1, 2]])
@@ -331,3 +339,109 @@ class TestCorrelatedEr:
         params = new_correlated_er_params(200, 3, 0.01, 0.0)
         with pytest.raises(Exception, match="bound"):
             sample_correlated_er(params, np.random.default_rng(0), max_subsets=1000)
+
+
+@st.composite
+def host_and_pattern(draw):
+    """A host graph on <= 9 vertices and a pattern on 2..5 vertices with at
+    least one edge; pattern vertices may be isolated."""
+    n = draw(st.integers(1, 9))
+    host = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    k = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(k), 2))
+    pattern = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    return new_simple_graph(n, host), new_pattern_graph(k, pattern)
+
+
+class TestCopyMapsOracle:
+    """The level-wise copy-map join against the recursive search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(host_and_pattern())
+    @example((complete_graph(6), new_pattern_graph(4, [[0, 1], [1, 2]])))  # vertex 3 isolated
+    @example((new_simple_graph(5, []), new_pattern_graph(3, [[0, 1]])))
+    def test_matches_recursive_search(self, case):
+        G, F = case
+        expected = [[phi[u] for u in range(F.num_vertices)] for phi in copy_maps_recursive(G, F)]
+        assert _copy_maps(G, F).tolist() == expected
+        copies = copies_hypergraph(G, F)
+        assert copies.hypergraph.edges == copies_edges_recursive(G, F)
+        assert copies.edge_labels == G.edges
+        if G.num_vertices < F.num_vertices:
+            with pytest.raises(ValidationError, match="num_vertices"):
+                vertex_copy_weighted_hypergraph(G, F)
+            return
+        weighted = vertex_copy_weighted_hypergraph(G, F)
+        assert (weighted.base.edges, weighted.weights) == vertex_copy_weights_recursive(G, F)
+
+
+def _complete_tuples(vertices):
+    return tuple(itertools.combinations(vertices, 2))
+
+
+class TestArrayLayers:
+    """Family builders keep their int32 edge arrays and build edge tuples
+    only on first use."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_complete(self, n):
+        H = cli._complete(n)
+        assert H.edges == _complete_tuples(range(n))
+        assert H == UniformHypergraph(2, n, _complete_tuples(range(n)))
+
+    @pytest.mark.parametrize("n, lam", [(4, 0.2), (20, 0.2), (21, 0.11), (60, 0.24)])
+    def test_appendix_b(self, n, lam):
+        m = int(lam * n)
+        nested = appendix_three_multiplex(n, lam, "nested")
+        private = n - m
+        for i, layer in enumerate(nested.layers):
+            block = [*range(m), *range(m + i * private, m + (i + 1) * private)]
+            assert layer.edges == _complete_tuples(block)
+        pairwise = appendix_three_multiplex(n, lam, "pairwise")
+        shared = [range(i * m, (i + 1) * m) for i in range(3)]
+        own = [range(3 * m + i * (n - 2 * m), 3 * m + (i + 1) * (n - 2 * m)) for i in range(3)]
+        blocks = [(0, 1), (0, 2), (1, 2)]
+        for i, layer in enumerate(pairwise.layers):
+            block = [*shared[blocks[i][0]], *shared[blocks[i][1]], *own[i]]
+            assert layer.edges == _complete_tuples(block)
+        assert pairwise.num_vertices == 3 * n - 3 * m
+
+    def test_star(self):
+        H = appendix_star_hypergraph(9)
+        assert H.edges == tuple((0, a, b) for a, b in itertools.combinations(range(1, 9), 2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cli._complete(30),
+            lambda: appendix_star_hypergraph(12),
+            lambda: appendix_three_multiplex(30, 0.2, "pairwise").layers[2],
+            lambda: copies_hypergraph(complete_graph(7), new_pattern_graph(4, [[0, 1], [1, 2], [2, 3]])).hypergraph,
+        ],
+    )
+    def test_array_storage_and_round_trip(self, build):
+        H = build()
+        arr = H.edge_array
+        assert arr.dtype == np.int32 and arr.shape == (H.num_edges, H.uniformity)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+        text = json.dumps(hypergraph_to_obj(H), sort_keys=True)
+        again = hypergraph_from_obj(json.loads(text))
+        assert json.dumps(hypergraph_to_obj(again), sort_keys=True) == text
+        assert again == H and hash(again) == hash(H)
+
+    def test_compare_builds_no_edge_tuples(self, tmp_path, monkeypatch):
+        built = []
+        original = cli.build_scenario
+
+        def keep(spec, n):
+            built.append(original(spec, n))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_scenario", keep)
+        argv = ["compare", "--preset", "appendix-b", "--replicates", "64", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        layers = [layer for b in built for M in b.variants.values() for layer in M.layers]
+        assert len(layers) == 12  # two sizes, two variants, three layers
+        assert all(layer._edges is None for layer in layers)

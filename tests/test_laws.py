@@ -1,12 +1,16 @@
 """Limit-law construction, TV distance, law moments."""
 
+import itertools
+import random
 from fractions import Fraction
 from math import exp, fsum
 
 import pytest
 
-from monoplex.core import ValidationError
+from monoplex.core import ResourceBoundError, ValidationError
 from monoplex.laws import (
+    MAX_POISSON_RATE,
+    _NORMALIZATION_SLACK,
     binom2_poisson_law,
     compound_weighted_law,
     law_from_pmf,
@@ -16,6 +20,7 @@ from monoplex.laws import (
     shared_component_law,
     tv_distance,
 )
+from oracles import compound_weighted_law_dict, shared_component_law_dict
 
 
 def check_normalized(P):
@@ -50,6 +55,15 @@ class TestPoissonLaw:
     def test_tail_below_tol(self):
         P = poisson_law(1.5, tail_tol=1e-6)
         assert 0 <= P.tail_mass < 1e-6
+
+    @pytest.mark.parametrize("lam", [740.0, 1990.0, 1e9])
+    def test_rates_past_float_underflow_refused(self, lam):
+        with pytest.raises(ResourceBoundError, match=f"rate {lam}"):
+            poisson_law(lam)
+
+    def test_largest_rate_keeps_its_mass(self):
+        check_normalized(poisson_law(700.0))
+        check_normalized(poisson_law(MAX_POISSON_RATE))
 
 
 class TestSharedComponentLaw:
@@ -122,6 +136,37 @@ class TestSharedComponentLaw:
             new_shared_component_spec(2, {(3,): 0.1})
         with pytest.raises(ValidationError):
             new_shared_component_spec(2, {(1,): -0.1})
+
+
+def _assert_same_law(P, pmf, tail):
+    assert set(P.pmf) == set(pmf)
+    assert all(abs(P.pmf[x] - p) <= 1e-18 for x, p in pmf.items())
+    assert abs(P.tail_mass - tail) <= _NORMALIZATION_SLACK
+
+
+class TestConvolutionOracle:
+    """The dense-array convolution against the dict convolution."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_shared_component(self, d):
+        rng = random.Random(d)
+        subsets = [s for r in range(1, d + 1) for s in itertools.combinations(range(1, d + 1), r)]
+        for _ in range(12):
+            chosen = rng.sample(subsets, rng.randint(1, min(len(subsets), 6)))
+            rates = {s: 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 1.0) for s in chosen}
+            spec = new_shared_component_spec(d, rates)
+            _assert_same_law(shared_component_law(spec), *shared_component_law_dict(spec, 1e-10))
+
+    def test_compound_with_weight_gaps(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            rates = [0.0 if rng.random() < 0.4 else rng.uniform(0.0, 2.0) for _ in range(rng.randint(1, 7))]
+            _assert_same_law(compound_weighted_law(rates), *compound_weighted_law_dict(rates, 1e-10))
+
+    def test_state_box_bound(self):
+        spec = new_shared_component_spec(4, {(1, 2, 3, 4): 100.0})
+        with pytest.raises(ResourceBoundError, match="states"):
+            shared_component_law(spec)
 
 
 class TestCompoundWeightedLaw:
@@ -220,6 +265,22 @@ class TestLawMoments:
         mom = law_moments(P)
         assert mom.means[0] == Fraction(1, 2)
         assert mom.covariance[0][0] == Fraction(3, 4)
+
+    def test_rational_equals_fraction_sums(self):
+        rng = random.Random(3)
+        for d in (1, 2, 3):
+            counts = {}
+            for _ in range(30):
+                x = tuple(rng.randint(0, 20) for _ in range(d))
+                counts[x] = counts.get(x, 0) + rng.randint(1, 9)
+            total = sum(counts.values())
+            pmf = {x: Fraction(k, total) for x, k in counts.items()}
+            mom = law_moments(law_from_pmf(d, pmf))
+            means = [sum((x[i] * p for x, p in pmf.items()), Fraction(0)) for i in range(d)]
+            assert mom.means == tuple(means)
+            for i, j in itertools.product(range(d), repeat=2):
+                second = sum((x[i] * x[j] * p for x, p in pmf.items()), Fraction(0))
+                assert mom.covariance[i][j] == second - means[i] * means[j]
 
     def test_joint_cross_moment(self):
         P = law_from_pmf(
