@@ -39,14 +39,17 @@ class UniformHypergraph:
     equal.
     """
 
-    def __init__(self, uniformity: int, num_vertices: int, edges: tuple[Edge, ...] | np.ndarray) -> None:
+    def __init__(
+        self, uniformity: int, num_vertices: int, edges: tuple[Edge, ...] | np.ndarray
+    ) -> None:
         if isinstance(edges, np.ndarray):
             array = np.array(edges, dtype=np.int32).reshape(-1, uniformity)
             array.flags.writeable = False
             edges = None
         else:
             array, edges = None, tuple(edges)
-        for name, value in (("uniformity", uniformity), ("num_vertices", num_vertices), ("_edges", edges), ("_array", array)):
+        fields = {"uniformity": uniformity, "num_vertices": num_vertices, "_edges": edges, "_array": array}
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

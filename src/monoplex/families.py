@@ -309,12 +309,13 @@ def vertex_copy_weighted_hypergraph(
     if k < 2:
         raise ValidationError(f"pattern must have >= 2 vertices, got {k}")
     if G.num_vertices < k:
-        raise ValidationError(f"num_vertices: must be an integer >= uniformity {k}, got {G.num_vertices}")
+        raise ValidationError(f"num_vertices: must be >= uniformity {k}, got {G.num_vertices}")
     aut = automorphism_count(F)
     images, maps = _distinct_rows(np.sort(_copy_maps(G, F), axis=1))
     if np.any(maps % aut):
         raise AssertionError(f"map counts not divisible by |Aut| = {aut}")
-    return weighted_layer(UniformHypergraph(k, G.num_vertices, images), (maps // aut).tolist(), weight_bound)
+    base = UniformHypergraph(k, G.num_vertices, images)
+    return weighted_layer(base, (maps // aut).tolist(), weight_bound)
 
 
 def appendix_star_hypergraph(n: int) -> UniformHypergraph:
@@ -324,7 +325,6 @@ def appendix_star_hypergraph(n: int) -> UniformHypergraph:
         raise ValidationError(f"n: must be >= 3, got {n}")
     pairs = _pairs(np.arange(1, n))
     return UniformHypergraph(3, n, np.column_stack((np.zeros(len(pairs), dtype=np.int64), pairs)))
-
 
 
 def appendix_three_multiplex(n: int, lam: float, variant: str) -> Multiplex:
@@ -416,14 +416,7 @@ def sample_correlated_er(
     n, r, p, p12 = params.n, params.r, params.p, params.p12
     M = comb(n, r)
     if method == "auto":
-        if M <= max_subsets:
-            method = "dense"
-        elif r == 2:
-            method = "sparse"
-        else:
-            raise ResourceBoundError(
-                f"C({n},{r}) = {M} exceeds enumeration bound {max_subsets}"
-            )
+        method = "sparse" if M > max_subsets and r == 2 else "dense"
     if method == "sparse" and r != 2:
         raise ValidationError("sparse mode supports r = 2 only")
     if method == "dense" and M > max_subsets:
