@@ -10,7 +10,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -28,27 +28,27 @@ class ResourceBoundError(RuntimeError):
     """Requested computation exceeds a configured size bound."""
 
 
+# Vertices are held as int32.
+MAX_VERTICES = 1 << 31
+
+
 class UniformHypergraph:
     """r-uniform hypergraph on vertices [0, num_vertices).
 
     edges is a tuple of sorted vertex tuples, or an (E, r) integer array of
-    the same rows; either way in lexicographic order. The family builders
-    pass arrays. A hypergraph keeps the form it was given and builds the other
-    on first use: edges as tuples, edge_array as a read-only int32 array.
-    Equality and hashing compare contents, so both forms of one edge set are
-    equal.
+    the same rows; either way in lexicographic order. The hypergraph holds
+    them as edge_array, a read-only int32 array, and builds the tuples of
+    edges on first use when it was given an array. Equality and hashing
+    compare contents, so both forms of one edge set are equal.
     """
 
     def __init__(
         self, uniformity: int, num_vertices: int, edges: tuple[Edge, ...] | np.ndarray
     ) -> None:
-        if isinstance(edges, np.ndarray):
-            array = np.array(edges, dtype=np.int32).reshape(-1, uniformity)
-            array.flags.writeable = False
-            edges = None
-        else:
-            array, edges = None, tuple(edges)
-        fields = {"uniformity": uniformity, "num_vertices": num_vertices, "_edges": edges, "_array": array}
+        tuples = None if isinstance(edges, np.ndarray) else tuple(edges)
+        array = np.array(edges if tuples is None else tuples, dtype=np.int32).reshape(-1, uniformity)
+        array.flags.writeable = False
+        fields = {"uniformity": uniformity, "num_vertices": num_vertices, "_edges": tuples, "edge_array": array}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -58,23 +58,12 @@ class UniformHypergraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         if self._edges is None:
-            object.__setattr__(self, "_edges", tuple(map(tuple, self._array.tolist())))
+            object.__setattr__(self, "_edges", tuple(map(tuple, self.edge_array.tolist())))
         return self._edges
 
     @property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (num_edges, uniformity) int32 array."""
-        if self._array is None:
-            flat = itertools.chain.from_iterable(self._edges)
-            array = np.fromiter(flat, dtype=np.int32, count=len(self._edges) * self.uniformity)
-            array = array.reshape(-1, self.uniformity)
-            array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
-        return self._array
-
-    @property
     def num_edges(self) -> int:
-        return len(self._edges if self._array is None else self._array)
+        return len(self.edge_array)
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -136,29 +125,66 @@ def new_hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHyp
     Rejects edges of wrong size, repeated vertices within an edge, vertices
     outside [0, n), and duplicate edges (edge sets are simple).
     """
+    return _canonical(r, n, edges)[0]
+
+
+def _canonical(
+    r: int, n: int, edges: Iterable[Sequence[int]]
+) -> tuple[UniformHypergraph, np.ndarray]:
+    """new_hypergraph's layer, and per edge of it the index of its input edge.
+
+    The edge list is checked as arrays: an exact-type scan, a range check, a
+    row sort, a repeated-vertex check and a lexsort duplicate check. The
+    error names the first offending edges[i] (or edges[i][j]) in input
+    order, with the checks in that order within an edge."""
     if not isinstance(r, int) or r < 2:
         raise ValidationError(f"uniformity: must be an integer >= 2, got {r!r}")
     if not isinstance(n, int) or n < r:
         raise ValidationError(f"num_vertices: must be an integer >= uniformity {r}, got {n!r}")
-    canon: list[Edge] = []
-    seen: set[Edge] = set()
-    for i, raw in enumerate(edges):
-        for j, v in enumerate(raw):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"edges[{i}][{j}]: vertex must be an integer, got {v!r}")
-            if v < 0 or v >= n:
-                raise ValidationError(f"edges[{i}][{j}]: vertex {v} out of range [0, {n})")
-        e = tuple(sorted(raw))
-        if len(e) != r:
-            raise ValidationError(f"edges[{i}]: expected {r} vertices, got {len(e)}")
-        if len(set(e)) != r:
-            raise ValidationError(f"edges[{i}]: repeated vertex in {list(raw)}")
-        if e in seen:
-            raise ValidationError(f"edges[{i}]: duplicate edge {list(e)}")
-        seen.add(e)
-        canon.append(e)
-    canon.sort()
-    return UniformHypergraph(r, n, tuple(canon))
+    if n > MAX_VERTICES:
+        raise ValidationError(f"num_vertices: must be at most {MAX_VERTICES} (int32 vertices), got {n}")
+    rows = edges if isinstance(edges, (list, tuple)) else list(edges)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ends = np.cumsum(lengths)
+    flat = list(itertools.chain.from_iterable(rows))
+    # Values are read up to flat[k], the first bool or non-integer.
+    bad_types = {t for t in set(map(type, flat)) if t is bool or not issubclass(t, int)}
+    marks = map(bad_types.__contains__, map(type, flat))
+    k = next(itertools.compress(itertools.count(), marks), len(flat)) if bad_types else len(flat)
+    values = np.array(flat[:k])
+    # argmax finds the first True; the appended Trues stand for "none".
+    first_bad = int(np.argmax(np.append((values < 0) | (values >= n), [k < len(flat), True])))
+    stop = min(np.searchsorted(ends, first_bad, side="right"), np.argmax(np.append(lengths != r, True)))
+    # Edges before stop are r valid vertices each.
+    block = np.sort(values[: stop * r].astype(np.int64).reshape(stop, r), axis=1)
+    order, starts = _row_runs(block)
+    repeated = np.argmax(np.append((block[:, 1:] == block[:, :-1]).any(axis=1), True))
+    duplicate = np.delete(order, starts).min(initial=stop)  # a run's later edges
+    if repeated < min(stop, duplicate):
+        raise ValidationError(f"edges[{repeated}]: repeated vertex in {list(rows[repeated])}")
+    if duplicate < stop:
+        raise ValidationError(f"edges[{duplicate}]: duplicate edge {block[duplicate].tolist()}")
+    if stop < len(rows):
+        if first_bad >= ends[stop]:
+            raise ValidationError(f"edges[{stop}]: expected {r} vertices, got {lengths[stop]}")
+        at, v = f"edges[{stop}][{first_bad - ends[stop] + lengths[stop]}]", flat[first_bad]
+        if first_bad == k:
+            raise ValidationError(f"{at}: vertex must be an integer, got {v!r}")
+        raise ValidationError(f"{at}: vertex {v} out of range [0, {n})")
+    return UniformHypergraph(r, n, block[order]), order
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic order of the rows of a 2-d array, stable so that equal
+    rows keep their input order, and the start in that order of each run of
+    equal rows; a run ends where the next begins."""
+    order = np.lexsort(rows.T[::-1])
+    first = np.zeros(len(rows), dtype=bool)
+    first[:1] = True
+    for column in rows.T:  # column by column: a gather of whole rows is slower
+        ranked = column[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(first)
 
 
 def new_multiplex(layers: Iterable[UniformHypergraph]) -> Multiplex:
@@ -188,9 +214,8 @@ def new_weighted_hypergraph(
         raise ValidationError(
             f"weights: expected {len(edges)} entries to match edges, got {len(weights)}"
         )
-    base = new_hypergraph(r, n, edges)
-    by_edge = {tuple(sorted(e)): w for e, w in zip(edges, weights)}
-    return weighted_layer(base, [by_edge[e] for e in base.edges], weight_bound)
+    base, order = _canonical(r, n, edges)
+    return weighted_layer(base, [weights[i] for i in order.tolist()], weight_bound)
 
 
 def weighted_layer(
@@ -259,26 +284,43 @@ def m_t(s: Iterable[int], H: UniformHypergraph) -> int:
     return sum(1 for e in H.edges if sub.issubset(e))
 
 
-def _subset_sums(edges: Iterable[Edge], weights: Iterable[int] | None, j: int) -> Counter[Edge]:
-    """Weight sum over the edges containing each j-subset, keyed by the
-    subset; weights None counts each edge once."""
-    subsets = (itertools.combinations(e, j) for e in edges)
+def _subset_sums(
+    edges: np.ndarray, weights: np.ndarray | None, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct j-subsets of the rows of edges, as rows in lexicographic
+    order, and per subset the weight sum over the edges that contain it;
+    weights None counts each edge once."""
+    picks = list(itertools.combinations(range(edges.shape[1]), j))
+    subsets = edges[:, picks].reshape(-1, j)
+    order, starts = _row_runs(subsets)
     if weights is None:
-        return Counter(itertools.chain.from_iterable(subsets))
-    sums: Counter[Edge] = Counter()
-    for edge_subsets, w in zip(subsets, weights):
-        for s in edge_subsets:
-            sums[s] += w
-    return sums
+        sums = np.diff(starts, append=len(subsets))
+    else:
+        sums = np.add.reduceat(np.repeat(weights, len(picks))[order], starts)
+    return subsets[order[starts]], sums
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Per row of queries, the index of the equal row of keys (whose rows are
+    distinct), or -1 where there is none."""
+    both = np.concatenate([keys, queries])
+    order, starts = _row_runs(both)
+    head = order[starts]  # a run's key row comes first, the sort being stable
+    at = np.empty(len(both), dtype=np.int64)
+    at[order] = np.repeat(np.where(head < len(keys), head, -1), np.diff(starts, append=len(both)))
+    return at[len(keys) :]
 
 
 def _layer_sums(
     H: UniformHypergraph, weights: Sequence[int] | None, top: int
-) -> tuple[int, list[Counter[Edge]]]:
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
     """One layer's side of _pair_sums: its weight total (its edge count when
-    weights is None) and its j-subset sums for j = 1..top."""
+    weights is None) and its _subset_sums for j = 1..top. Weights are summed
+    in int64 when their total fits, else as Python ints."""
     total = H.num_edges if weights is None else sum(weights)
-    return total, [_subset_sums(H.edges, weights, j) for j in range(1, top + 1)]
+    if weights is not None:
+        weights = np.array(weights, dtype=np.int64 if total < 2**63 else object)
+    return total, [_subset_sums(H.edge_array, weights, j) for j in range(1, top + 1)]
 
 
 def _pair_sums(layer1, layer2) -> dict[int, int]:
@@ -288,11 +330,21 @@ def _pair_sums(layer1, layer2) -> dict[int, int]:
 
     A_j = sum over j-subsets s of S1(s)*S2(s) covers the ordered pairs whose
     intersection contains s, so A_j = sum_{i>=j} C(i,j) P_i, and binomial
-    inversion gives P_t = sum_{j>=t} (-1)^(j-t) C(j,t) A_j.
+    inversion gives P_t = sum_{j>=t} (-1)^(j-t) C(j,t) A_j. Two edges share
+    at most C(top, j) j-subsets, so A_j <= C(top, j)*total1*total2; below
+    2^63 it is an int64 dot product, else a sum of Python int products.
     """
     (total1, sums1), (total2, sums2) = layer1, layer2
-    A = [sum(v * s2.get(s, 0) for s, v in s1.items()) for s1, s2 in zip(sums1, sums2)]
-    top = len(A)
+    top = min(len(sums1), len(sums2))
+    A = []
+    for j, ((rows1, s1), (rows2, s2)) in enumerate(zip(sums1, sums2), start=1):
+        at = _lookup(rows2, rows1)
+        hit = at >= 0
+        a, b = s1[hit], s2[at[hit]]
+        if comb(top, j) * total1 * total2 < 2**63:
+            A.append(int(a @ b))
+        else:
+            A.append(sum(map(operator.mul, a.tolist(), b.tolist())))
     out = {
         t: sum((-1) ** (j - t) * comb(j, t) * A[j - 1] for j in range(t, top + 1))
         for t in range(1, top + 1)
@@ -381,18 +433,15 @@ def truncation_split(H: UniformHypergraph, eps: float, c: int) -> TruncationSpli
     r = H.uniformity
     if r == 2:
         return TruncationSplit(H.edges, (), False)
-    counts = {t: _subset_sums(H.edges, None, t) for t in range(2, r)}
-    kept: list[Edge] = []
-    removed: list[Edge] = []
-    for e in H.edges:
-        ok = True
-        for t in range(2, r):
-            threshold = eps * c ** (r - t)
-            if any(counts[t][s] > threshold for s in itertools.combinations(e, t)):
-                ok = False
-                break
-        (kept if ok else removed).append(e)
-    return TruncationSplit(tuple(kept), tuple(removed), True)
+    edges = H.edge_array
+    heavy = np.zeros(H.num_edges, dtype=bool)
+    for t in range(2, r):
+        rows, counts = _subset_sums(edges, None, t)
+        picks = list(itertools.combinations(range(r), t))
+        at = _lookup(rows, edges[:, picks].reshape(-1, t))
+        heavy |= (counts[at] > eps * c ** (r - t)).reshape(-1, len(picks)).any(axis=1)
+    kept = tuple(itertools.compress(H.edges, ~heavy))
+    return TruncationSplit(kept, tuple(itertools.compress(H.edges, heavy)), True)
 
 
 def _check_length(H_or_n: int, x: Coloring) -> None:

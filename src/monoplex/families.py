@@ -26,6 +26,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _row_runs,
     weighted_layer,
 )
 
@@ -169,16 +170,6 @@ def _pairs(vertices: np.ndarray) -> np.ndarray:
     return np.column_stack((vertices[i], vertices[j]))
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d array in lexicographic order, and how many
-    times each occurs."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return rows[starts], np.diff(np.append(starts, len(rows)))
-
-
 # Candidate cells one step of the copy-map join may hold at once (int64 each).
 _JOIN_CELLS = 1 << 20
 
@@ -254,8 +245,9 @@ def copies_hypergraph(G: SimpleGraph, F: PatternGraph) -> CopiesResult:
     g_edges, f_edges = (np.array(X.edges, dtype=np.int64).reshape(-1, 2) for X in (G, F.graph))
     ends = maps[:, f_edges[:, 0]], maps[:, f_edges[:, 1]]
     edge_ids = np.searchsorted(g_edges @ (n, 1), np.minimum(*ends) * n + np.maximum(*ends))
-    copies, _ = _distinct_rows(np.sort(edge_ids, axis=1))
-    return CopiesResult(UniformHypergraph(F.graph.num_edges, G.num_edges, copies), G.edges)
+    copies = np.sort(edge_ids, axis=1)
+    order, starts = _row_runs(copies)
+    return CopiesResult(UniformHypergraph(F.graph.num_edges, G.num_edges, copies[order[starts]]), G.edges)
 
 
 def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
@@ -311,10 +303,12 @@ def vertex_copy_weighted_hypergraph(
     if G.num_vertices < k:
         raise ValidationError(f"num_vertices: must be >= uniformity {k}, got {G.num_vertices}")
     aut = automorphism_count(F)
-    images, maps = _distinct_rows(np.sort(_copy_maps(G, F), axis=1))
+    images = np.sort(_copy_maps(G, F), axis=1)
+    order, starts = _row_runs(images)
+    maps = np.diff(starts, append=len(images))
     if np.any(maps % aut):
         raise AssertionError(f"map counts not divisible by |Aut| = {aut}")
-    base = UniformHypergraph(k, G.num_vertices, images)
+    base = UniformHypergraph(k, G.num_vertices, images[order[starts]])
     return weighted_layer(base, (maps // aut).tolist(), weight_bound)
 
 

@@ -201,14 +201,23 @@ def binom2_poisson_law(mu: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Discret
 
 def tv_distance(P: DiscreteLaw, Q: DiscreteLaw) -> Real:
     """Half the l1 gap over the union support, plus half of both tail masses
-    (an upper bound on the true total-variation distance)."""
+    (an upper bound on the true total-variation distance).
+
+    Exact when no mass is a float and some is a Fraction. Otherwise each
+    mass is converted to float once (a Fraction to numerator / denominator,
+    the value that Fraction - float rounds it to) and the gaps are summed
+    exactly rounded by fsum."""
     if P.dimension != Q.dimension:
         raise ValidationError(f"dimension mismatch: {P.dimension} != {Q.dimension}")
-    keys = set(P.pmf) | set(Q.pmf)
-    gaps = [abs(P.pmf.get(x, 0) - Q.pmf.get(x, 0)) for x in keys]
-    if any(isinstance(g, Fraction) for g in gaps) and not any(
-        isinstance(g, float) for g in gaps
-    ):
+    masses = (*P.pmf.values(), *Q.pmf.values())
+    exact = not any(isinstance(m, float) for m in masses) and any(
+        isinstance(m, Fraction) for m in masses
+    )
+    convert = Fraction if exact else float
+    p = dict(zip(P.pmf, map(convert, P.pmf.values())))
+    gaps = [abs(p.pop(x, 0) - m) for x, m in zip(Q.pmf, map(convert, Q.pmf.values()))]
+    gaps.extend(map(abs, p.values()))  # the states of P alone
+    if exact:
         core = sum(gaps, Fraction(0)) / 2
         return core + Fraction(P.tail_mass) / 2 + Fraction(Q.tail_mass) / 2
     return fsum(gaps) / 2.0 + (P.tail_mass + Q.tail_mass) / 2.0

@@ -33,7 +33,7 @@ def hypergraph_to_obj(H: UniformHypergraph) -> dict:
         "kind": "uniform_hypergraph",
         "uniformity": H.uniformity,
         "num_vertices": H.num_vertices,
-        "edges": [list(e) for e in H.edges],
+        "edges": H.edge_array.tolist(),
     }
 
 
@@ -67,7 +67,7 @@ def weighted_to_obj(WH: WeightedUniformHypergraph) -> dict:
         "kind": "weighted_hypergraph",
         "uniformity": WH.base.uniformity,
         "num_vertices": WH.base.num_vertices,
-        "edges": [list(e) for e in WH.base.edges],
+        "edges": WH.base.edge_array.tolist(),
         "weights": list(WH.weights),
         "weight_bound": WH.weight_bound,
     }

@@ -45,6 +45,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _row_runs,
 )
 from monoplex.families import CorrelatedErParams, ap_count_closed_form
 from monoplex.laws import DiscreteLaw, law_from_pmf
@@ -353,12 +354,9 @@ def _row_counts(out: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
     """(row as a tuple of ints, multiplicity) per distinct row of out, rows
     in lexicographic order. A lexsort of the columns, not np.unique with
     axis=0, whose sort of rows as records is about 30 times slower."""
-    rows = out[np.lexsort(out.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(rows)))
-    for key, k in zip(rows[starts].tolist(), counts.tolist()):
+    order, starts = _row_runs(out)
+    counts = np.diff(starts, append=len(out))
+    for key, k in zip(out[order[starts]].tolist(), counts.tolist()):
         yield tuple(key), k
 
 

@@ -1,14 +1,46 @@
 """Reference implementations that tests compare the fast paths against:
-direct O(m^2) pair scans for the overlap counters in monoplex.core, the
-depth-first copy-map search for monoplex.families, and dict convolutions
-for the Poisson laws in monoplex.laws."""
+the per-edge validator and direct O(m^2) pair scans for the edge loader and
+overlap counters in monoplex.core, the depth-first copy-map search for
+monoplex.families, and dict convolutions for the Poisson laws in
+monoplex.laws."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from math import fsum
 
 from monoplex.core import UniformHypergraph, ValidationError, WeightedUniformHypergraph
 from monoplex.laws import _poisson_terms
+
+
+def new_hypergraph_reference(r, n, edges) -> UniformHypergraph:
+    """Edge-by-edge validation in input order; test oracle for the array
+    loader behind monoplex.core.new_hypergraph. Within an edge it checks each
+    vertex's type and range, then the edge size, repeated vertices, and
+    repeats of an earlier edge."""
+    if not isinstance(r, int) or r < 2:
+        raise ValidationError(f"uniformity: must be an integer >= 2, got {r!r}")
+    if not isinstance(n, int) or n < r:
+        raise ValidationError(f"num_vertices: must be an integer >= uniformity {r}, got {n!r}")
+    canon = []
+    seen = set()
+    for i, raw in enumerate(edges):
+        for j, v in enumerate(raw):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"edges[{i}][{j}]: vertex must be an integer, got {v!r}")
+            if v < 0 or v >= n:
+                raise ValidationError(f"edges[{i}][{j}]: vertex {v} out of range [0, {n})")
+        e = tuple(sorted(raw))
+        if len(e) != r:
+            raise ValidationError(f"edges[{i}]: expected {r} vertices, got {len(e)}")
+        if len(set(e)) != r:
+            raise ValidationError(f"edges[{i}]: repeated vertex in {list(raw)}")
+        if e in seen:
+            raise ValidationError(f"edges[{i}]: duplicate edge {list(e)}")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    return UniformHypergraph(r, n, tuple(canon))
 
 
 def k_exact_pairwise(t: int, H: UniformHypergraph) -> int:
@@ -128,6 +160,18 @@ def vertex_copy_weights_recursive(G, F):
     images = Counter(tuple(sorted(phi.values())) for phi in copy_maps_recursive(G, F))
     edges = tuple(sorted(images))
     return edges, tuple(images[s] // aut for s in edges)
+
+
+def tv_distance_union(P, Q):
+    """tv_distance with the gaps taken per state of a set union of the
+    supports, a rational mass minus a float one per state; test oracle for
+    monoplex.laws.tv_distance."""
+    keys = set(P.pmf) | set(Q.pmf)
+    gaps = [abs(P.pmf.get(x, 0) - Q.pmf.get(x, 0)) for x in keys]
+    if any(isinstance(g, Fraction) for g in gaps) and not any(isinstance(g, float) for g in gaps):
+        core = sum(gaps, Fraction(0)) / 2
+        return core + Fraction(P.tail_mass) / 2 + Fraction(Q.tail_mass) / 2
+    return fsum(gaps) / 2.0 + (P.tail_mass + Q.tail_mass) / 2.0
 
 
 # The dict convolutions visit states in sorted order, so each sum adds its

@@ -24,9 +24,9 @@ from monoplex.cli import (
     spec_from_obj,
     spec_to_obj,
 )
-from monoplex.core import ValidationError
+from monoplex.core import Multiplex, ValidationError
 from monoplex.laws import law_moments
-from monoplex.serialize import load_structure, read_json, write_json
+from monoplex.serialize import load_structure, read_json, weighted_to_obj, write_json
 from monoplex.simulate import BLOCK_SIZE, CHUNK, _choose_backend, new_simulation_config, simulate_T
 
 
@@ -64,6 +64,55 @@ class TestConstruct:
         out = tmp_path / "m.json"
         assert run_cli("construct", "appendix-b", "--n", 20, "--lam", 0.2, "--variant", "pairwise", "--out", out) == 0
         assert load_structure(out).num_layers == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ap", "--n", 30, "--r", 3),
+            ("ap", "--n", 12, "--r", 4),
+            ("complete", "--n", 15),
+            ("appendix-a", "--n", 20),
+            ("appendix-b", "--n", 30, "--lam", 0.2),
+            ("appendix-b", "--n", 30, "--lam", 0.2, "--variant", "pairwise"),
+            ("corr-er", "--n", 20, "--r", 3, "--p", 0.1, "--rho", 0.05, "--seed", 7),
+        ],
+    )
+    def test_bytes_match_tuple_encoding(self, tmp_path, argv):
+        # Files encode edges from the layers' arrays; the bytes are those of
+        # listing each edge tuple.
+        out = tmp_path / "s.json"
+        assert run_cli("construct", *argv, "--out", out) == 0
+        structure = load_structure(out)
+
+        def encode(H):
+            edges = [list(e) for e in H.edges]
+            return {"kind": "uniform_hypergraph", "uniformity": H.uniformity, "num_vertices": H.num_vertices, "edges": edges}
+
+        if isinstance(structure, Multiplex):
+            layers = [encode(H) for H in structure.layers]
+            obj = {"kind": "multiplex", "num_vertices": structure.num_vertices, "layers": layers}
+        else:
+            obj = encode(structure)
+        assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_weighted_bytes_match_tuple_encoding(self, tmp_path):
+        spec = new_experiment_spec(
+            "weighted-blocks", {"triangle_fraction": 0.3}, {"kind": "fixed", "value": 39}, (50,), 1, 1,
+            targets=({"kind": "derived", "label": "compound"},),
+        )
+        WH = build_scenario(spec, 50).weighted
+        out = tmp_path / "w.json"
+        write_json(out, weighted_to_obj(WH))
+        obj = {
+            "kind": "weighted_hypergraph",
+            "uniformity": WH.base.uniformity,
+            "num_vertices": WH.base.num_vertices,
+            "edges": [list(e) for e in WH.base.edges],
+            "weights": list(WH.weights),
+            "weight_bound": WH.weight_bound,
+        }
+        assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        assert load_structure(out) == WH
 
     def test_unknown_exits_2(self, tmp_path, capsys):
         assert run_cli("construct", "moebius", "--n", 5) == 2

@@ -3,11 +3,13 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoplex.core import (
+    MAX_VERTICES,
     Coloring,
     ValidationError,
     connected_components,
@@ -28,8 +30,14 @@ from monoplex.core import (
     new_multiplex,
     new_weighted_hypergraph,
     truncation_split,
+    weighted_pair_sums_all,
 )
-from oracles import k_cross_pairwise, k_exact_pairwise
+from oracles import (
+    k_cross_pairwise,
+    k_exact_pairwise,
+    new_hypergraph_reference,
+    weighted_pair_sums_pairwise,
+)
 
 # Shared small fixture: 3-uniform, 5 vertices, 3 edges.
 H3 = new_hypergraph(3, 5, [[0, 1, 2], [0, 1, 3], [2, 3, 4]])
@@ -100,6 +108,105 @@ class TestConstruction:
             new_coloring([1, 2, 3], 2)
         x = new_coloring([1, 2, 2], 2)
         assert x.num_colors == 2
+
+
+# Vertex values that break the rules: bools, floats and other types, and
+# integers just outside [0, n) or past the int64 and uint64 ranges.
+def bad_vertices(n):
+    return st.one_of(
+        st.booleans(),
+        st.floats(allow_nan=True),
+        st.sampled_from([None, "0", (0,)]),
+        st.sampled_from([-1, n, n + 1, 2**31, 2**63 - 1, 2**63, 2**64, 2**70, -(2**63) - 1]),
+        st.integers(-(2**80), 2**80),
+    )
+
+
+@st.composite
+def edge_lists(draw):
+    """(r, n, rows): mostly valid edge lists, some with a few rule-breaking
+    edits (bad vertices, wrong sizes, repeated vertices, repeated edges)."""
+    r = draw(st.sampled_from([1] + [2, 3, 4, 5] * 3))
+    n = draw(st.integers(max(0, r - 1), 9))
+    pool = list(itertools.combinations(range(n), r))
+    picked = draw(st.lists(st.sampled_from(pool), max_size=10, unique=True)) if pool else []
+    rows = [list(draw(st.permutations(e))) for e in picked]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["vertex", "size", "repeat", "copy", "extra"]))
+        if edit == "extra" or not rows:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(st.integers(-1, n), max_size=6)))
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if edit == "vertex" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(bad_vertices(n))
+        elif edit == "size":
+            if draw(st.booleans()):
+                row.append(draw(st.integers(0, max(0, n - 1))))
+            elif row:
+                row.pop()
+        elif edit == "repeat" and len(row) >= 2:
+            a, b = draw(st.lists(st.integers(0, len(row) - 1), min_size=2, max_size=2, unique=True))
+            row[a] = row[b]
+        elif edit == "copy":
+            rows.insert(draw(st.integers(0, len(rows))), list(draw(st.permutations(row))))
+    if draw(st.booleans()):
+        rows = [tuple(row) for row in rows]
+    return r, n, rows
+
+
+def load_outcome(load, r, n, edges):
+    """The hypergraph a loader returns, or the message of its ValidationError."""
+    try:
+        return load(r, n, edges)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestArrayLoader:
+    @given(edge_lists(), st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference_validator(self, case, as_generator):
+        r, n, rows = case
+        feed = (lambda: (row for row in rows)) if as_generator else (lambda: rows)
+        got = load_outcome(new_hypergraph, r, n, feed())
+        want = load_outcome(new_hypergraph_reference, r, n, feed())
+        assert got == want
+        if not isinstance(want, str):
+            assert got.edges == want.edges
+            weights = list(range(1, len(rows) + 1))
+            WH = new_weighted_hypergraph(r, n, feed(), weights)
+            by_edge = {tuple(sorted(e)): w for e, w in zip(rows, weights)}
+            assert WH.base == want
+            assert WH.weights == tuple(by_edge[e] for e in want.edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[0, 1], [1, True]], r"edges\[1\]\[1\]: vertex must be an integer, got True"),
+            ([[0, 1.0]], r"edges\[0\]\[1\]: vertex must be an integer, got 1.0"),
+            ([[0, 2**64], [0, 1.5]], r"edges\[0\]\[1\]: vertex 18446744073709551616 out of range"),
+            ([[0, -(2**63) - 1]], r"vertex -9223372036854775809 out of range \[0, 3\)"),
+            ([[0, 1, 2], [0, 3]], r"edges\[0\]: expected 2 vertices, got 3"),
+            ([[0, 1, 2], [0, 1.5]], r"edges\[0\]: expected 2 vertices"),
+            ([[1, 1], [0, 1], [1, 0]], r"edges\[0\]: repeated vertex in \[1, 1\]"),
+            ([[0, 1], [2, 1], [1, 0], [1, 2]], r"edges\[2\]: duplicate edge \[0, 1\]"),
+        ],
+    )
+    def test_first_offending_index(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            new_hypergraph(2, 3, edges)
+
+    def test_array_backed(self):
+        H = new_hypergraph(3, 6, iter([[5, 4, 3], (0, 2, 1)]))
+        assert H._edges is None and H.edge_array.dtype == np.int32
+        assert H.edge_array.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert new_hypergraph(3, 6, []).edge_array.shape == (0, 3)
+
+    def test_vertex_range_fits_int32(self):
+        assert new_hypergraph(2, MAX_VERTICES, [[0, MAX_VERTICES - 1]]).edges == ((0, MAX_VERTICES - 1),)
+        with pytest.raises(ValidationError, match="num_vertices: must be at most"):
+            new_hypergraph(2, MAX_VERTICES + 1, [])
 
 
 class TestLayerOps:
@@ -215,6 +322,44 @@ class TestKCross:
             k_cross_all(A, B)
 
 
+@st.composite
+def wide_hypergraphs(draw, r):
+    """r-uniform edges on a few vertices spread over [0, n) with n^r past
+    2^63, so packed subset keys would overflow."""
+    n = {4: 60_000, 5: 10_000}[r]
+    spots = draw(st.lists(st.integers(0, n - 1), min_size=r, max_size=r + 3, unique=True))
+    pool = list(itertools.combinations(sorted(spots), r))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+    return new_hypergraph(r, n, [list(e) for e in edges])
+
+
+class TestWideOverlaps:
+    @given(st.sampled_from([4, 5]).flatmap(wide_hypergraphs), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_pairwise_oracles(self, H, data):
+        assert H.num_vertices ** H.uniformity > 2**63
+        counts = k_exact_all(H)
+        for t in range(H.uniformity):
+            assert counts[t] == k_exact_pairwise(t, H)
+        edges = data.draw(st.lists(st.sampled_from(H.edges), unique=True)) if H.num_edges else []
+        H2 = new_hypergraph(H.uniformity, H.num_vertices, [list(e) for e in edges])
+        cross = k_cross_all(H, H2)
+        for t in range(H.uniformity + 1):
+            assert cross[t] == k_cross_pairwise(t, H, H2)
+
+    @given(st.sampled_from([4, 5]).flatmap(wide_hypergraphs), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weights_past_int64_stay_exact(self, H, data):
+        # 2^24-sized weights: the pair sums pass 2^53 but fit int64; 2^40:
+        # the totals fit int64, their products do not; 2^70: no total fits.
+        scale = data.draw(st.sampled_from([2**24, 2**40, 2**70]))
+        weights = data.draw(st.lists(st.integers(scale, 2 * scale), min_size=H.num_edges, max_size=H.num_edges))
+        WH = new_weighted_hypergraph(H.uniformity, H.num_vertices, [list(e) for e in H.edges], weights)
+        sums = weighted_pair_sums_all(WH)
+        for t in range(H.uniformity):
+            assert sums[t] == weighted_pair_sums_pairwise(t, WH)
+
+
 class TestTruncationSplit:
     def test_fixture_all_removed(self):
         split = truncation_split(H3, 0.1, 2)
@@ -243,6 +388,23 @@ class TestTruncationSplit:
             truncation_split(H3, 0.0, 2)
         with pytest.raises(ValidationError):
             truncation_split(H3, 0.1, 0)
+
+    @given(hypergraphs(), st.floats(0.01, 10.0), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_subset_count_rule(self, H, eps, c):
+        r = H.uniformity
+        split = truncation_split(H, eps, c)
+        kept = tuple(
+            e
+            for e in H.edges
+            if all(
+                m_t(s, H) <= eps * c ** (r - t)
+                for t in range(2, r)
+                for s in itertools.combinations(e, t)
+            )
+        )
+        assert split.kept == kept
+        assert split.removed == tuple(e for e in H.edges if e not in set(kept))
 
     @given(hypergraphs(), st.floats(0.01, 10.0), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)

@@ -20,7 +20,7 @@ from monoplex.laws import (
     shared_component_law,
     tv_distance,
 )
-from oracles import compound_weighted_law_dict, shared_component_law_dict
+from oracles import compound_weighted_law_dict, shared_component_law_dict, tv_distance_union
 
 
 def check_normalized(P):
@@ -252,6 +252,24 @@ class TestTvDistance:
                 assert tv_distance(A, B) == tv_distance(B, A)
                 for C in laws:
                     assert tv_distance(A, C) <= tv_distance(A, B) + tv_distance(B, C)
+
+    def test_bit_equal_to_union_oracle(self):
+        # Empirical laws (Fractions over N draws) against Poisson targets and
+        # against each other; each result must equal the oracle's bit for bit.
+        rng = random.Random(5)
+        for _ in range(200):
+            d = rng.randint(1, 2)
+            draws = [tuple(rng.randint(0, 6) for _ in range(d)) for _ in range(rng.randint(1, 40))]
+            weights = {x: rng.randint(1, 50) for x in draws}
+            total = sum(weights.values())
+            P = law_from_pmf(d, {x: Fraction(w, total) for x, w in weights.items()})
+            lam = rng.uniform(0.05, 4.0)
+            Q = poisson_law(lam) if d == 1 else shared_component_law(
+                new_shared_component_spec(2, {(1,): lam, (2,): lam / 2, (1, 2): lam / 3})
+            )
+            for A, B in ((P, Q), (Q, P), (P, P), (Q, Q)):
+                got, want = tv_distance(A, B), tv_distance_union(A, B)
+                assert (got, type(got)) == (want, type(want))
 
     def test_exact_rational_arithmetic(self):
         A = law_from_pmf(1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
