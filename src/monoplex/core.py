@@ -1,8 +1,8 @@
 """Core types and exact counting for uniform hypergraphs and multiplexes.
 
 Vertices are dense 0-based integers. Hyperedges are sorted vertex tuples and
-edge sets are kept in lexicographic order, held as tuples or as an int32
-array (see UniformHypergraph), so equal hypergraphs compare equal and every
+edge sets are kept in lexicographic order, held as an int32 array (see
+UniformHypergraph), so equal hypergraphs compare equal and every
 iteration is deterministic. All types are immutable after
 construction and safe to share across threads.
 """
