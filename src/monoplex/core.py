@@ -133,8 +133,8 @@ def _canonical(
 ) -> tuple[UniformHypergraph, np.ndarray]:
     """new_hypergraph's layer, and per edge of it the index of its input edge.
 
-    The edge list is checked as arrays: an exact-type scan, a range check, a
-    row sort, a repeated-vertex check and a lexsort duplicate check. The
+    The edge list is checked as arrays: a type scan of the edges (each a
+    list or tuple) and of their vertices, a range check, a row sort, a repeated-vertex check and a lexsort duplicate check. The
     error names the first offending edges[i] (or edges[i][j]) in input
     order, with the checks in that order within an edge."""
     if not isinstance(r, int) or r < 2:
@@ -143,7 +143,12 @@ def _canonical(
         raise ValidationError(f"num_vertices: must be an integer >= uniformity {r}, got {n!r}")
     if n > MAX_VERTICES:
         raise ValidationError(f"num_vertices: must be at most {MAX_VERTICES} (int32 vertices), got {n}")
-    rows = edges if isinstance(edges, (list, tuple)) else list(edges)
+    rows = _listed(edges, "edges")
+    not_lists = {t for t in set(map(type, rows)) if not issubclass(t, (list, tuple))}
+    if not_lists:
+        i = next(itertools.compress(itertools.count(), map(not_lists.__contains__, map(type, rows))))
+        _canonical(r, n, rows[:i])  # a fault in an earlier edge is named first
+        raise ValidationError(f"edges[{i}]: expected a list of vertices, got {type(rows[i]).__name__}")
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     ends = np.cumsum(lengths)
     flat = list(itertools.chain.from_iterable(rows))
@@ -172,6 +177,16 @@ def _canonical(
             raise ValidationError(f"{at}: vertex must be an integer, got {v!r}")
         raise ValidationError(f"{at}: vertex {v} out of range [0, {n})")
     return UniformHypergraph(r, n, block[order]), order
+
+
+def _listed(values, where: str) -> list | tuple:
+    """values as a list (a list or tuple is kept as it is); a value that is
+    not iterable raises ValidationError naming where."""
+    if isinstance(values, (list, tuple)):
+        return values
+    if not isinstance(values, Iterable):
+        raise ValidationError(f"{where}: expected a list, got {type(values).__name__}")
+    return list(values)
 
 
 def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,8 +223,8 @@ def new_weighted_hypergraph(
     weight_bound: int | None = None,
 ) -> WeightedUniformHypergraph:
     """Pair each input edge with its weight, then canonicalize jointly."""
-    edges = list(edges)
-    weights = list(weights)
+    edges = _listed(edges, "edges")
+    weights = _listed(weights, "weights")
     if len(weights) != len(edges):
         raise ValidationError(
             f"weights: expected {len(edges)} entries to match edges, got {len(weights)}"

@@ -243,8 +243,10 @@ def law_moments(P: DiscreteLaw) -> LawMoments:
         return ratio(acc(map(operator.mul, values, masses)), total)
 
     means = tuple(mean(cols[i]) for i in range(d))
-    cov = tuple(
-        tuple(mean(map(operator.mul, cols[i], cols[j])) - means[i] * means[j] for j in range(d))
-        for i in range(d)
-    )
-    return LawMoments(means, cov)
+    # cov[i][j] = cov[j][i], bit for bit: products of integer coordinates
+    # are exact, so each off-diagonal entry is summed once and mirrored.
+    cov = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            cov[i][j] = cov[j][i] = mean(map(operator.mul, cols[i], cols[j])) - means[i] * means[j]
+    return LawMoments(means, tuple(map(tuple, cov)))

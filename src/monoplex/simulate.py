@@ -11,12 +11,16 @@ never changes results either.
 
 Same-color vertex pairs are listed by sorting each row's packed keys
 color*n + v once (unique keys, so this is the stable argsort's permutation)
-and walking the sorted rows by gap: the pairs at gap g are the positions
-whose g predecessors share their color. The pair-class backend tests these
-pairs against a 2-uniform layer's edge keys and the AP kernel extends them
-to progressions. One slice may hold PAIR_BUDGET * CHUNK // BLOCK_SIZE
-pairs, so whether a run is refused depends on its inputs alone. Auto sends a 2-uniform layer of at least 500 edges to
-pair-class when the expected pair count is below an eighth of its edges.
+and walking the sorted rows by span: the pairs at span s are the positions
+whose s predecessors share their color. The AP kernel extends these pairs
+to progressions. The pair-class backend packs each monochromatic r-subset
+of the walk (first and last at span s, any r - 2 positions between) into a
+base-n key and tests it against the layer's sorted edge keys; for r = 2
+these are the pairs themselves. One slice may hold PAIR_BUDGET * CHUNK //
+BLOCK_SIZE pairs, and as many r-subsets, so whether a run is refused
+depends on its inputs alone. Auto sends a layer of at least 500 edges to
+pair-class when the expected monochromatic r-subsets of a row,
+C(n, r) / c^(r-1), are below an eighth of its edges.
 Weighted totals are summed exactly: in int64 by dense, in float64 by the
 other backends, which are refused once the weight sum reaches 2^53.
 
@@ -30,6 +34,7 @@ rows, and each chunk is counted like a block of colorings.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +86,8 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class EmpiricalLaw:
     """Empirical distribution with exact rational masses count/replicates,
-    and how it was counted: blocks drawn and rows per slice (0 blocks when
+    and how it was counted: blocks drawn, rows per slice and one record per
+    counted layer naming its backend (0 blocks and no layer records when
     c = 1 leaves nothing to draw)."""
 
     law: DiscreteLaw
@@ -90,6 +96,7 @@ class EmpiricalLaw:
     shards: int
     blocks: int
     chunk: int
+    layers: tuple[dict, ...] = ()
 
 
 def new_simulation_config(c: int, replicates: int, seed: int, shards: int = 1) -> SimulationConfig:
@@ -143,9 +150,20 @@ def _dense_T(colors: np.ndarray, edges: np.ndarray, weights: np.ndarray | None) 
     return out
 
 
-def _pair_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """Each edge's first two vertices packed as u*n + v."""
-    return edges[:, 0].astype(np.int64) * n + edges[:, 1].astype(np.int64)
+def _packed_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """Each row's vertices packed base n into one int64 key: u*n + v for a
+    pair, ((u*n + v)*n + w) for a triple. Rows in ascending vertex order give
+    keys in lexicographic row order."""
+    keys = edges[:, 0].astype(np.int64)
+    for k in range(1, edges.shape[1]):
+        keys = keys * n + edges[:, k]
+    return keys
+
+
+def _keys_fit(n: int, r: int) -> bool:
+    """Whether base-n keys of r vertices fit in int64 (n^r < 2^63); r < 64
+    spares building n^r for a large r, since n >= 2."""
+    return r < 64 and n**r < 2**63
 
 
 def _leading_pair_tables(edges: np.ndarray, n: int):
@@ -153,7 +171,7 @@ def _leading_pair_tables(edges: np.ndarray, n: int):
     distinct leading pairs in order, the edge ids grouped by pair, and each
     group's start and length. Sorting packed keys, not np.unique with axis=0,
     whose sort of rows as records is about 30 times slower."""
-    keys = _pair_keys(edges, n)
+    keys = _packed_keys(edges[:, :2], n)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
@@ -161,6 +179,15 @@ def _leading_pair_tables(edges: np.ndarray, n: int):
     bucket_start = np.flatnonzero(first)
     bucket_len = np.diff(np.append(bucket_start, len(keys)))
     return edges[order[bucket_start], :2], order, bucket_start, bucket_len
+
+
+def _row_totals(rows: np.ndarray, weights: np.ndarray | None, B: int) -> np.ndarray:
+    """Per-row hit counts, or per-row weight totals: weights are summed in
+    float64, exact because every weight sum stays below 2^53."""
+    if weights is None:
+        return np.bincount(rows, minlength=B).astype(np.int64)
+    acc = np.bincount(rows, weights=weights.astype(np.float64), minlength=B)
+    return np.rint(acc).astype(np.int64)
 
 
 def _leading_pair_T(
@@ -183,11 +210,7 @@ def _leading_pair_T(
     ok = np.ones(tot, dtype=bool)
     for k in range(2, edges.shape[1]):
         ok &= colors[rows_exp, edges[eids, k]] == ref
-    hits = rows_exp[ok]
-    if weights is None:
-        return np.bincount(hits, minlength=B).astype(np.int64)
-    acc = np.bincount(hits, weights=weights[eids[ok]].astype(np.float64), minlength=B)
-    return np.rint(acc).astype(np.int64)
+    return _row_totals(rows_exp[ok], None if weights is None else weights[eids[ok]], B)
 
 
 def _sorted_keys(colors: np.ndarray) -> tuple[np.ndarray, np.integer]:
@@ -203,26 +226,32 @@ def _sorted_keys(colors: np.ndarray) -> tuple[np.ndarray, np.integer]:
     return keys, dtype(n)
 
 
-def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All unordered same-color vertex pairs of every replicate row.
+def _color_walk(colors: np.ndarray) -> tuple[np.ndarray, np.integer, Iterator[tuple[int, np.ndarray]]]:
+    """Walk every row, sorted by color, by span.
 
-    Returns (rows, u, v) with u < v. After sorting each row by color, the
-    pairs at gap g are the sorted positions p whose g predecessors all share
-    p's color; they are found from the gap g-1 positions with one mask, so
-    the walk runs (largest class size - 1) times.
+    Returns (keys, width, spans): the rows' sorted keys color*width + v,
+    flattened, and an iterator of (s, idx) for s = 1, 2, ..., where idx holds
+    the flat sorted positions whose s predecessors all share their color.
+    Each (p - s, p) is one same-color pair, so the walk runs (largest class
+    size - 1) times; idx at span s + 1 is found from idx at span s with one
+    mask. The iterator refuses a slice once its pairs pass the slice's share
+    of PAIR_BUDGET.
     """
     B, n = colors.shape
-    budget = _slice_pair_budget()
     keys, width = _sorted_keys(colors)
     sc = keys // width
     same = np.zeros((B, n), dtype=bool)
     same[:, 1:] = sc[:, 1:] == sc[:, :-1]
-    same = same.ravel()
-    keys = keys.ravel()
-    rows_parts, u_parts, v_parts = [], [], []
+    return keys.ravel(), width, _spans(same.ravel(), B, n)
+
+
+def _spans(same: np.ndarray, B: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """_color_walk's (s, idx) per span, from the flat mask of positions that
+    share their predecessor's color."""
+    budget = _slice_pair_budget()
     held = 0
     idx = np.flatnonzero(same)
-    g = 1
+    s = 1
     while len(idx):
         held += len(idx)
         if held > budget:
@@ -230,13 +259,20 @@ def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
                 f"same-color pairs of {B} replicates on {n} vertices exceed "
                 f"the budget of {budget} pairs per slice"
             )
-        rows_parts.append(idx // n)
-        u_parts.append(keys[idx - g])
-        v_parts.append(keys[idx])
+        yield s, idx
         # Selecting through flatnonzero, not a boolean mask: on masks of
         # mixed bits NumPy's boolean indexing is about twice as slow.
-        idx = idx[np.flatnonzero(same[idx - g])]
-        g += 1
+        idx = idx[np.flatnonzero(same[idx - s])]
+        s += 1
+
+
+def _walk_pairs(n: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, u, v) with u < v for every pair of a color walk."""
+    rows_parts, u_parts, v_parts = [], [], []
+    for s, idx in spans:
+        rows_parts.append(idx // n)
+        u_parts.append(keys[idx - s])
+        v_parts.append(keys[idx])
     if not rows_parts:
         z = np.empty(0, dtype=np.int64)
         return z, z.copy(), z.copy()
@@ -245,56 +281,101 @@ def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.concatenate(rows_parts), u, v
 
 
+def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All unordered same-color vertex pairs of every replicate row, as
+    (rows, u, v) with u < v."""
+    return _walk_pairs(colors.shape[1], *_color_walk(colors))
+
+
+def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, np.ndarray]:
+    """Every monochromatic r-subset (r >= 3) of a color walk's rows, each
+    once: (packed, last), its vertices in ascending order packed base n, and
+    the flat sorted position of its last vertex (its row is last // n).
+
+    At span s, a position p whose s predecessors share its color is the last
+    element, p - s the first, and any r - 2 of the s - 1 positions between
+    are the middle. Inside a color class positions ascend with vertex ids, so
+    each subset comes once, in ascending order. A span's subsets are counted
+    before they are listed, and a slice is refused once they pass its share
+    of PAIR_BUDGET.
+    """
+    budget = _slice_pair_budget()
+    held = 0
+    packed, lasts = [], []
+    for s, idx in spans:
+        if s < r - 1:
+            continue
+        held += len(idx) * comb(s - 1, r - 2)
+        if held > budget:
+            raise ResourceBoundError(
+                f"monochromatic {r}-subsets of {len(keys) // n} replicates on {n} vertices "
+                f"exceed the budget of {budget} per slice"
+            )
+        middles = np.array(list(itertools.combinations(range(1, s), r - 2)), dtype=np.int64)
+        first = (idx - s)[:, None]
+        key = (keys[first] % width).astype(np.int64)
+        for k in range(r - 2):
+            key = key * n + keys[first + middles[:, k]] % width
+        key = key * n + (keys[idx] % width)[:, None]
+        packed.append(key.ravel())
+        lasts.append(np.repeat(idx, len(middles)))
+    if not packed:
+        z = np.empty(0, dtype=np.int64)
+        return z, z.copy()
+    return np.concatenate(packed), np.concatenate(lasts)
+
+
 def _pair_class_tables(edges: np.ndarray, n: int, weights: np.ndarray | None):
-    keys = _pair_keys(edges, n)
+    """A layer's edges as sorted packed keys, with their weights in the same
+    order."""
+    keys = _packed_keys(edges, n)
     ksort = np.argsort(keys)
-    sorted_keys = keys[ksort]
-    sorted_weights = None if weights is None else weights[ksort]
-    return sorted_keys, sorted_weights
+    return keys[ksort], None if weights is None else weights[ksort]
 
 
-def _pair_class_T(
-    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tables,
-    n: int,
-    B: int,
-) -> np.ndarray:
-    """Count which same-color pairs are edges, per replicate row."""
+def _edge_hits(tables, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Which packed r-subsets are edges of the layer: a mask over keys, and
+    the weights of the hits (None when the layer has no weights)."""
     sorted_keys, sorted_weights = tables
-    rows, u, v = pairs
-    pk = u * n + v
-    pos = np.searchsorted(sorted_keys, pk)
-    pos_safe = np.minimum(pos, len(sorted_keys) - 1)
-    ok = sorted_keys[pos_safe] == pk
-    hits = rows[ok]
-    if sorted_weights is None:
-        return np.bincount(hits, minlength=B).astype(np.int64)
-    acc = np.bincount(hits, weights=sorted_weights[pos_safe[ok]].astype(np.float64), minlength=B)
-    return np.rint(acc).astype(np.int64)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    ok = sorted_keys[pos] == keys
+    return ok, None if sorted_weights is None else sorted_weights[pos[ok]]
+
+
+def _expected_subsets(n: int, r: int, c: int) -> float | None:
+    """C(n, r) / c^(r-1), the expected monochromatic r-subsets of one row;
+    None where packed r-subset keys do not fit in int64."""
+    return comb(n, r) / c ** (r - 1) if _keys_fit(n, r) else None
 
 
 def _choose_backend(H: UniformHypergraph, c: int, requested: str) -> str:
     r, E, n = H.uniformity, H.num_edges, H.num_vertices
     if requested != "auto":
-        if requested == "pair-class" and r != 2:
-            raise ValidationError("pair-class backend requires 2-uniform layers")
+        if requested == "pair-class" and not _keys_fit(n, r):
+            raise ValidationError(
+                f"pair-class backend packs each {r}-subset into an int64 key: "
+                f"n = {n}, r = {r} gives n^r >= 2^63"
+            )
         if requested == "leading-pair" and r < 3:
             raise ValidationError("leading-pair backend requires uniformity >= 3")
         if requested not in ("dense", "leading-pair", "pair-class"):
             raise ValidationError(f"backend: unknown choice {requested!r}")
         return requested
-    if r == 2:
-        # pair-class pays a row sort plus the expected pair count, dense pays
-        # E edge tests. Forced timings on K_n layers that pass the ratio test
-        # cross near 500 edges: K30 at c=30 (435 edges) runs faster dense,
-        # K35 at c=35 (595 edges) faster through pair-class.
-        # A slice whose expected pairs come near its share of PAIR_BUDGET
-        # could be refused by pair-class; dense has no such bound.
-        expected_pairs = n * (n - 1) / (2 * max(1, c))
-        if E >= 500 and expected_pairs < E / 8 and CHUNK * expected_pairs <= _slice_pair_budget() / 2:
+    # pair-class pays a row sort, the walk's same-color pairs and the
+    # expected monochromatic r-subsets; dense pays E edge tests, leading-pair
+    # one test per distinct leading pair. Forced timings on K_n layers that
+    # pass the ratio test cross near 500 edges: K30 at c=30 (435 edges) runs
+    # faster dense, K35 at c=35 (595 edges) faster through pair-class. On
+    # 3-uniform layers pair-class ran 2-15x faster than leading-pair on
+    # edge-color's P4 and K1,3 copies and about even on appendix-a's stars.
+    # A slice whose expected pairs or subsets come near its share of
+    # PAIR_BUDGET could be refused by pair-class; dense has no such bound.
+    expected = _expected_subsets(n, r, max(1, c))
+    if expected is not None and E >= 500 and expected < E / 8:
+        pairs = comb(n, 2) / max(1, c)
+        if CHUNK * max(pairs, expected) <= _slice_pair_budget() / 2:
             return "pair-class"
-        return "dense"
-    if E >= 32 and len(np.unique(_pair_keys(H.edge_array, n))) <= E // 2:
+    if r > 2 and E >= 32 and len(np.unique(_packed_keys(H.edge_array[:, :2], n))) <= E // 2:
         return "leading-pair"
     return "dense"
 
@@ -305,11 +386,12 @@ def _layer_counter(
     n: int,
     c: int,
     backend: str,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-layer counting plan: returns count(colors) -> (B, d) int64 array
-    of per-row monochromatic totals (weighted where weights are given), a
-    pure function of the rows it is given."""
-    plans = []
+) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[dict, ...]]:
+    """Per-layer counting plan: count(colors) -> (B, d) int64 array of
+    per-row monochromatic totals (weighted where weights are given), a pure
+    function of the rows it is given; and per layer a record of the backend
+    it runs and the auto rule's inputs."""
+    plans, records = [], []
     for layer, weights in zip(layers, weight_lists):
         kind = _choose_backend(layer, c, backend)
         if weights is not None:
@@ -325,29 +407,55 @@ def _layer_counter(
                     )
                 kind = "dense"
         edges = layer.edge_array
+        r = layer.uniformity
         w = None if weights is None else np.asarray(weights, dtype=np.int64)
         if kind == "leading-pair" and len(edges):
-            plans.append((kind, edges, w, _leading_pair_tables(edges, n)))
+            plans.append((kind, r, edges, w, _leading_pair_tables(edges, n)))
         elif kind == "pair-class" and len(edges):
-            plans.append((kind, edges, w, _pair_class_tables(edges, n, w)))
+            plans.append((kind, r, edges, w, _pair_class_tables(edges, n, w)))
         else:  # dense, also for an edgeless layer under any backend
-            plans.append(("dense", edges, w, None))
-    any_pairs = any(kind == "pair-class" for kind, *_ in plans)
+            kind = "dense"
+            plans.append((kind, r, edges, w, None))
+        records.append(
+            {
+                "backend": kind,
+                "requested": backend,
+                "edges": layer.num_edges,
+                "vertices": n,
+                "uniformity": r,
+                "c": c,
+                "expected_subsets": _expected_subsets(n, r, max(1, c)),
+            }
+        )
+    walked = sorted({r for kind, r, *_ in plans if kind == "pair-class"})
 
     def count(colors: np.ndarray) -> np.ndarray:
         B = colors.shape[0]
-        pairs = _same_color_pairs(colors) if any_pairs else None
+        found = {}  # uniformity -> (packed keys, rows or last positions)
+        if walked:
+            keys, width, spans = _color_walk(colors)
+            if walked[-1] > 2:
+                spans = list(spans)  # walked once, read per uniformity
+            for r in walked:
+                if r == 2:
+                    rows, u, v = _walk_pairs(n, keys, width, spans)
+                    found[r] = (u * n + v, rows)
+                else:
+                    found[r] = _monochromatic_subsets(n, r, keys, width, spans)
         cols = []
-        for kind, edges, w, tables in plans:
+        for kind, r, edges, w, tables in plans:
             if kind == "dense":
                 cols.append(_dense_T(colors, edges, w))
             elif kind == "leading-pair":
                 cols.append(_leading_pair_T(colors, edges, tables, w))
             else:
-                cols.append(_pair_class_T(pairs, tables, n, B))
+                packed, owner = found[r]
+                ok, hit_weights = _edge_hits(tables, packed)
+                rows = owner[ok] if r == 2 else owner[ok] // n
+                cols.append(_row_totals(rows, hit_weights, B))
         return np.stack(cols, axis=1)
 
-    return count
+    return count, tuple(records)
 
 
 def _row_counts(out: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -373,10 +481,13 @@ def _count_in_slices(rows: np.ndarray, count) -> np.ndarray:
     return np.concatenate([count(rows[lo : lo + CHUNK]) for lo in range(0, len(rows), CHUNK)])
 
 
-def _accumulate(cfg: SimulationConfig, n_vertices: int, count, d: int, finish=None) -> EmpiricalLaw:
-    """The empirical law of count(colors) -> (rows, d) over all blocks.
-    finish(rng, out), when given, maps a whole block's counts to its rows of
-    the law, drawing from the block's generator after its colors."""
+def _accumulate(
+    cfg: SimulationConfig, n_vertices: int, count, d: int, layers: tuple[dict, ...], finish=None
+) -> EmpiricalLaw:
+    """The empirical law of count(colors) -> (rows, d) over all blocks, with
+    the layer records of count. finish(rng, out), when given, maps a whole
+    block's counts to its rows of the law, drawing from the block's
+    generator after its colors."""
     counts: Counter = Counter()
     plan = _block_plan(cfg)
     for block, B in plan:
@@ -386,13 +497,15 @@ def _accumulate(cfg: SimulationConfig, n_vertices: int, count, d: int, finish=No
             out = finish(rng, out)
         for key, k in _row_counts(out):
             counts[key] += k
-    return _empirical(counts, d, cfg, len(plan))
+    return _empirical(counts, d, cfg, len(plan), layers)
 
 
-def _empirical(counts: Counter, d: int, cfg: SimulationConfig, blocks: int = 0) -> EmpiricalLaw:
+def _empirical(
+    counts: Counter, d: int, cfg: SimulationConfig, blocks: int = 0, layers: tuple[dict, ...] = ()
+) -> EmpiricalLaw:
     pmf = {key: Fraction(k, cfg.replicates) for key, k in counts.items()}
     law = law_from_pmf(d, pmf, 0)
-    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards, blocks, CHUNK)
+    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards, blocks, CHUNK, layers)
 
 
 def simulate_T(M: Multiplex, cfg: SimulationConfig, backend: str = "auto") -> EmpiricalLaw:
@@ -403,8 +516,8 @@ def simulate_T(M: Multiplex, cfg: SimulationConfig, backend: str = "auto") -> Em
     if cfg.c == 1:
         key = tuple(layer.num_edges for layer in M.layers)
         return _empirical(Counter({key: cfg.replicates}), d, cfg)
-    count = _layer_counter(M.layers, [None] * d, M.num_vertices, cfg.c, backend)
-    return _accumulate(cfg, M.num_vertices, count, d)
+    count, layers = _layer_counter(M.layers, [None] * d, M.num_vertices, cfg.c, backend)
+    return _accumulate(cfg, M.num_vertices, count, d, layers)
 
 
 def simulate_W(
@@ -414,8 +527,8 @@ def simulate_W(
     n = WH.base.num_vertices
     if cfg.c == 1:
         return _empirical(Counter({(sum(WH.weights),): cfg.replicates}), 1, cfg)
-    count = _layer_counter([WH.base], [WH.weights], n, cfg.c, backend)
-    return _accumulate(cfg, n, count, 1)
+    count, layers = _layer_counter([WH.base], [WH.weights], n, cfg.c, backend)
+    return _accumulate(cfg, n, count, 1, layers)
 
 
 def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
@@ -445,7 +558,7 @@ def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
             ok &= flat[nxt] == ref
         return np.bincount(rows[np.flatnonzero(ok)], minlength=colors.shape[0])[:, None]
 
-    return _accumulate(cfg, n, count, 1)
+    return _accumulate(cfg, n, count, 1, ({"backend": "ap", "vertices": n, "uniformity": r, "c": cfg.c},))
 
 
 def _binomial_array(m: np.ndarray, r: int) -> np.ndarray:
@@ -484,7 +597,8 @@ def simulate_correlated_er_T(params: CorrelatedErParams, cfg: SimulationConfig) 
         draws = rng.multinomial(mono[:, 0], pvals)
         return np.stack([draws[:, 0] + draws[:, 1], draws[:, 0] + draws[:, 2]], axis=1)
 
-    return _accumulate(cfg, n, monochromatic, 2, finish=thin)
+    record = {"backend": "class-sizes", "vertices": n, "uniformity": r, "c": cfg.c}
+    return _accumulate(cfg, n, monochromatic, 2, (record, record), finish=thin)
 
 
 def _partition_count(n: int, kmax: int) -> int:
@@ -539,7 +653,7 @@ def _exact(
     falling = [1]  # falling[k] = (c)_k, the colorings that realize a k-block partition
     for k in range(kmax):
         falling.append(falling[-1] * (c - k))
-    count = _layer_counter(layers, weight_lists, n, c, "auto")
+    count, _ = _layer_counter(layers, weight_lists, n, c, "auto")
     counts: Counter = Counter()
     for rgs, blocks in _partitions(n, kmax):
         out = np.concatenate([_count_in_slices(rgs, count), blocks[:, None]], axis=1)

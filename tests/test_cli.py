@@ -164,6 +164,18 @@ class TestMoments:
         err = capsys.readouterr().err
         assert "unknown kind 'simple_graph'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edges, where", [([[0, 1], 5], "edges[1]"), (7, "edges")])
+    @pytest.mark.parametrize("kind", ["uniform_hypergraph", "weighted_hypergraph"])
+    def test_edges_not_lists_exit_2(self, tmp_path, capsys, edges, where, kind):
+        obj = {"kind": kind, "uniformity": 2, "num_vertices": 3, "edges": edges}
+        if kind == "weighted_hypergraph":
+            obj["weights"] = [1, 1]
+        f = tmp_path / "h.json"
+        write_json(f, obj)
+        assert run_cli("moments", f, "--c", 2) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: expected a list" in err and "Traceback" not in err
+
     def test_overlaps_counted_once_per_report(self, tmp_path, monkeypatch, capsys):
         calls = Counter()
 
@@ -286,9 +298,59 @@ class TestCompare:
             assert run_cli("compare", "--config", cfg, "--shards", shards, "--out", out) == 0
             outs.append((out / "results.csv").read_bytes())
             rows = read_json(out / "manifest.json")["results"]
-            assert [r["counting"] for r in rows] == [{"law": "simulate", "blocks": 2, "chunk": chunk}] * 2
+            assert [r["counting"] for r in rows] == [
+                {
+                    "law": "simulate",
+                    "blocks": 2,
+                    "chunk": chunk,
+                    "layers": [
+                        {
+                            "backend": backend,
+                            "requested": "auto",
+                            "edges": n * (n - 1) // 2,
+                            "vertices": n,
+                            "uniformity": 2,
+                            "c": c,
+                            "expected_subsets": 1.0,
+                        }
+                    ],
+                }
+                # birthday's c = C(n, 2), so a row expects one same-color
+                # pair; K20 holds under 500 edges, K40 over
+                for n, c, backend in ((20, 190, "dense"), (40, 780, "pair-class"))
+            ]
         assert len(set(outs)) == 1
         assert b"counting" not in outs[0]
+
+    def test_manifest_records_layer_backends(self, tmp_path):
+        # edge-color's P4 and K1,3 layers at n = 10 (c = 92) go to pair-class;
+        # the ap and corr-er rows name their own kernels
+        runs = {
+            "edge-color": dict(spec_to_obj(preset_spec("edge-color")), sizes=[10], replicates=600),
+            "ap": spec_to_obj(make_spec(law="simulate", sizes=(20,))),
+            "corr-er": spec_to_obj(
+                make_spec(
+                    scenario="corr-er",
+                    params={"r": 2, "p": 0.2, "rho": 0.05},
+                    sizes=(12,),
+                    law="simulate",
+                    targets=({"kind": "derived", "label": "d"},),
+                )
+            ),
+        }
+        backends = {}
+        for name, obj in runs.items():
+            cfg = tmp_path / f"{name}.json"
+            write_json(cfg, obj)
+            out = tmp_path / name
+            assert run_cli("compare", "--config", cfg, "--out", out) == 0
+            (row,) = read_json(out / "manifest.json")["results"]
+            backends[name] = [layer["backend"] for layer in row["counting"]["layers"]]
+        assert backends == {
+            "edge-color": ["pair-class", "pair-class"],
+            "ap": ["ap"],
+            "corr-er": ["class-sizes", "class-sizes"],
+        }
 
     def test_manifest_records_exact_counting(self, tmp_path):
         cfg = tmp_path / "spec.json"
@@ -603,18 +665,28 @@ class TestScenarioPlumbing:
             for n in spec.sizes:
                 built = build_scenario(spec, n)
                 c = resolve_colors(spec.c_rule, built)
-                variants = getattr(built, "variants", {})
-                for M in [built.multiplex] if hasattr(built, "multiplex") else variants.values():
-                    for layer in M.layers:
-                        if layer.uniformity == 2:
-                            pick = _choose_backend(layer, c, "auto")
-                            picks.setdefault((name, n, c), set()).add(pick)
+                if hasattr(built, "multiplex"):
+                    layers = built.multiplex.layers
+                elif hasattr(built, "weighted"):
+                    layers = [built.weighted.base]
+                else:  # appendix-b's variants; ap and corr-er count no layer
+                    layers = [layer for M in getattr(built, "variants", {}).values() for layer in M.layers]
+                for layer in layers:
+                    pick = (layer.uniformity, _choose_backend(layer, c, "auto"))
+                    picks.setdefault((name, n, c), set()).add(pick)
         assert picks == {
-            ("birthday", 50, 1225): {"pair-class"},
-            ("birthday", 100, 4950): {"pair-class"},
-            ("birthday", 200, 19900): {"pair-class"},
-            ("appendix-b", 200, 40000): {"pair-class"},
-            ("appendix-b", 400, 160000): {"pair-class"},
+            ("birthday", 50, 1225): {(2, "pair-class")},
+            ("birthday", 100, 4950): {(2, "pair-class")},
+            ("birthday", 200, 19900): {(2, "pair-class")},
+            ("edge-color", 10, 92): {(3, "pair-class")},
+            ("edge-color", 14, 201): {(3, "pair-class")},
+            ("weighted", 250, 27): {(3, "dense")},
+            ("weighted", 500, 39): {(3, "dense")},
+            ("appendix-a", 100, 100): {(3, "pair-class")},
+            ("appendix-a", 200, 200): {(3, "pair-class")},
+            ("appendix-a", 500, 500): {(3, "pair-class")},
+            ("appendix-b", 200, 40000): {(2, "pair-class")},
+            ("appendix-b", 400, 160000): {(2, "pair-class")},
         }
         k30 = build_scenario(preset_spec("birthday"), 30).multiplex.layers[0]
         assert _choose_backend(k30, 30, "auto") == "dense"

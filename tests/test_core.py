@@ -197,6 +197,27 @@ class TestArrayLoader:
         with pytest.raises(ValidationError, match=message):
             new_hypergraph(2, 3, edges)
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (7, r"^edges: expected a list, got int$"),
+            ([[0, 1], 5], r"^edges\[1\]: expected a list of vertices, got int$"),
+            ([[0, 1], [1, 2], "01"], r"^edges\[2\]: expected a list of vertices, got str$"),
+            ([[0, 1], None, [0, 1.5]], r"^edges\[1\]: expected a list of vertices, got NoneType$"),
+            # a fault in an earlier edge is named first
+            ([[0, 1.5], 5], r"^edges\[0\]\[1\]: vertex must be an integer"),
+            ([[0, 1], [1, 0], 5], r"^edges\[1\]: duplicate edge \[0, 1\]$"),
+        ],
+    )
+    def test_edges_not_lists(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            new_hypergraph(2, 3, edges)
+        weights = [1] * len(edges) if isinstance(edges, list) else 7
+        with pytest.raises(ValidationError, match=message):
+            new_weighted_hypergraph(2, 3, edges, weights)
+        with pytest.raises(ValidationError, match=r"^weights: expected a list, got int$"):
+            new_weighted_hypergraph(2, 3, [[0, 1]], 7)
+
     def test_array_backed(self):
         H = new_hypergraph(3, 6, iter([[5, 4, 3], (0, 2, 1)]))
         assert H._edges is None and H.edge_array.dtype == np.int32

@@ -300,6 +300,20 @@ class TestLawMoments:
                 second = sum((x[i] * x[j] * p for x, p in pmf.items()), Fraction(0))
                 assert mom.covariance[i][j] == second - means[i] * means[j]
 
+    def test_float_covariance_equals_full_sums(self):
+        # each off-diagonal entry is summed once and mirrored; the full d^2
+        # sums give the same bits
+        rng = random.Random(5)
+        raw = {tuple(rng.randint(0, 30) for _ in range(3)): rng.random() for _ in range(40)}
+        pmf = {x: w / fsum(raw.values()) for x, w in raw.items()}
+        mom = law_moments(law_from_pmf(3, pmf))
+        total = fsum(pmf.values())
+        means = [fsum(x[i] * p for x, p in pmf.items()) / total for i in range(3)]
+        assert list(mom.means) == means
+        for i, j in itertools.product(range(3), repeat=2):
+            second = fsum(x[i] * x[j] * p for x, p in pmf.items()) / total
+            assert mom.covariance[i][j] == second - means[i] * means[j]
+
     def test_joint_cross_moment(self):
         P = law_from_pmf(
             2,

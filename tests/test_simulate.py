@@ -28,6 +28,7 @@ from monoplex.families import (
     ap_hypergraph,
     appendix_star_hypergraph,
     complete_graph,
+    copies_hypergraph,
     new_correlated_er_params,
     new_pattern_graph,
     vertex_copy_weighted_hypergraph,
@@ -38,7 +39,10 @@ from monoplex.simulate import (
     BLOCK_SIZE,
     CHUNK,
     _binomial_array,
+    _choose_backend,
+    _color_walk,
     _layer_counter,
+    _monochromatic_subsets,
     _partition_count,
     _partitions,
     _same_color_pairs,
@@ -189,7 +193,7 @@ def weighted_instances(draw):
 
 
 def admissible_backends(H):
-    return ("dense", "pair-class") if H.uniformity == 2 else ("dense", "leading-pair")
+    return ("dense", "pair-class") if H.uniformity == 2 else ("dense", "leading-pair", "pair-class")
 
 
 class TestBruteForceReference:
@@ -216,7 +220,7 @@ class TestBruteForceReference:
         colors = np.array(colorings, dtype=np.int32)
         for i, layer in enumerate(M.layers):
             for backend in admissible_backends(layer):
-                count = _layer_counter([layer], [None], M.num_vertices, c, backend)
+                count, _ = _layer_counter([layer], [None], M.num_vertices, c, backend)
                 assert np.array_equal(count(colors)[:, 0], expect[:, i]), backend
 
     @given(weighted_instances())
@@ -227,7 +231,7 @@ class TestBruteForceReference:
         expect = np.array([count_weighted(WH, new_coloring(x, c)) for x in colorings])
         colors = np.array(colorings, dtype=np.int32)
         for backend in admissible_backends(WH.base):
-            count = _layer_counter([WH.base], [WH.weights], WH.base.num_vertices, c, backend)
+            count, _ = _layer_counter([WH.base], [WH.weights], WH.base.num_vertices, c, backend)
             assert np.array_equal(count(colors)[:, 0], expect), backend
 
 
@@ -312,6 +316,67 @@ class TestSameColorPairs:
                 tracemalloc.stop()
         assert simulate._slice_pair_budget() <= simulate.PAIR_BUDGET
         assert simulate.PAIR_BUDGET * max(per_pair) <= 2 * 2**30
+
+    @given(color_blocks(), st.sampled_from([3, 4]))
+    @settings(max_examples=100, deadline=None)
+    def test_subsets_match_brute_force(self, colors, r):
+        B, n = colors.shape
+        expect = []
+        for b in range(B):
+            for color in set(colors[b].tolist()):
+                members = np.flatnonzero(colors[b] == color).tolist()
+                expect += [(b, subset) for subset in itertools.combinations(members, r)]
+        keys, width, spans = _color_walk(colors)
+        packed, last = _monochromatic_subsets(n, r, keys, width, spans)
+        got = []
+        for key, row in zip(packed.tolist(), (last // n).tolist()):
+            digits = []
+            for _ in range(r):
+                key, d = divmod(key, n)
+                digits.append(d)
+            got.append((row, tuple(reversed(digits))))
+        # each subset once, in ascending vertex order
+        assert sorted(got) == sorted(expect)
+
+    def test_subset_budget(self, monkeypatch):
+        # One row of 7 vertices in one color: 21 pairs, 35 triples and 35
+        # 4-subsets. A slice share of 30 admits the pairs, not the subsets,
+        # whichever of them are edges.
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 30 * BLOCK_SIZE // CHUNK)
+        colors = np.full((1, 7), 3, dtype=np.int32)
+        assert len(_same_color_pairs(colors)[0]) == 21
+        for r in (3, 4):
+            for edges in ([list(range(r))], list(itertools.combinations(range(7), r))):
+                count, _ = _layer_counter([new_hypergraph(r, 7, edges)], [None], 7, 3, "pair-class")
+                with pytest.raises(ResourceBoundError, match=f"{r}-subsets"):
+                    count(colors)
+        # 6 vertices: 15 pairs and 20 triples, inside the share
+        count, _ = _layer_counter([new_hypergraph(3, 6, [[0, 1, 2], [1, 4, 5]])], [None], 6, 3, "pair-class")
+        assert count(np.full((1, 6), 3, dtype=np.int32)).tolist() == [[2]]
+
+    def test_subset_keys_fit_in_int64(self):
+        # pair-class packs an r-subset into an int64 key base n: n^r < 2^63
+        edges = [[0, 1, 2], [3, 4, 5]]
+        assert _choose_backend(new_hypergraph(3, 2**21 - 1, edges), 5, "pair-class") == "pair-class"
+        wide = new_hypergraph(3, 2**21, edges)
+        with pytest.raises(ValidationError, match=f"n = {2**21}, r = 3"):
+            simulate_T(new_multiplex([wide]), new_simulation_config(5, 1, 0), backend="pair-class")
+        assert _choose_backend(wide, 5, "auto") == "dense"
+        # 30^12 < 2^63 <= 30^13
+        assert _choose_backend(new_hypergraph(12, 30, [list(range(12))]), 5, "pair-class") == "pair-class"
+        with pytest.raises(ValidationError, match="n = 30, r = 13"):
+            _choose_backend(new_hypergraph(13, 30, [list(range(13))]), 5, "pair-class")
+
+    def test_auto_keeps_subsets_inside_budget(self, monkeypatch):
+        # Every triple of 30 vertices at c = 5: a row expects 4060 / 25 =
+        # 162.4 triples and 87 pairs, so a slice expects 512 * 162.4 =
+        # 83148.8 triples, and auto wants a share of at least twice that.
+        k30 = new_hypergraph(3, 30, itertools.combinations(range(30), 3))
+        assert _choose_backend(k30, 5, "auto") == "pair-class"
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 2 * 83149 * BLOCK_SIZE // CHUNK)
+        assert _choose_backend(k30, 5, "auto") == "pair-class"
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 2 * 83148 * BLOCK_SIZE // CHUNK)
+        assert _choose_backend(k30, 5, "auto") == "leading-pair"
 
     def test_auto_keeps_blocks_inside_pair_budget(self, monkeypatch):
         k35 = new_hypergraph(2, 35, itertools.combinations(range(35), 2))
@@ -418,6 +483,20 @@ class TestSimulateT:
         dense = simulate_T(M, cfg, backend="dense")
         lp = simulate_T(M, cfg, backend="leading-pair")
         assert dense.law == lp.law
+        assert simulate_T(M, cfg, backend="pair-class").law == dense.law
+
+    def test_pair_class_bitwise_equal_r3_r4(self):
+        # P4 copies in K7 (3-uniform on 21 edge-vertices) and 4-subsets of 12
+        # vertices with a mixed 2-uniform layer: every layer by subset keys.
+        paths = copies_hypergraph(complete_graph(7), new_pattern_graph(4, [[0, 1], [1, 2], [2, 3]])).hypergraph
+        quads = new_hypergraph(4, 12, [q for q in itertools.combinations(range(12), 4) if sum(q) % 3])
+        pairs = new_hypergraph(2, 12, [p for p in itertools.combinations(range(12), 2) if sum(p) % 2])
+        for M, c in ((new_multiplex([paths]), 6), (new_multiplex([quads, pairs]), 3)):
+            cfg = new_simulation_config(c, 6_000, 29)
+            dense = simulate_T(M, cfg, backend="dense")
+            pc = simulate_T(M, cfg, backend="pair-class")
+            assert pc.law == dense.law
+            assert [rec["backend"] for rec in pc.layers] == ["pair-class"] * M.num_layers
 
     def test_backends_bitwise_equal_r2(self):
         G = new_hypergraph(2, 30, [[i, j] for i in range(30) for j in range(i + 1, 30) if (i + j) % 3])
@@ -436,8 +515,8 @@ class TestSimulateT:
 
     def test_backend_validation(self):
         M = new_multiplex([H3])
-        with pytest.raises(ValidationError):
-            simulate_T(M, new_simulation_config(2, 100, 0), backend="pair-class")
+        cfg = new_simulation_config(2, 100, 0)
+        assert simulate_T(M, cfg, backend="pair-class").law == simulate_T(M, cfg, backend="dense").law
         with pytest.raises(ValidationError):
             simulate_T(
                 new_multiplex([new_hypergraph(2, 3, [[0, 1]])]),
@@ -492,6 +571,7 @@ class TestSimulateW:
         WH = new_weighted_hypergraph(3, 8, [[0, 1, 2], [0, 1, 3], [0, 1, 7], [4, 5, 6]], [2, 1, 3, 2])
         cfg = new_simulation_config(3, 10_000, 30)
         assert simulate_W(WH, cfg, backend="dense").law == simulate_W(WH, cfg, backend="leading-pair").law
+        assert simulate_W(WH, cfg, backend="dense").law == simulate_W(WH, cfg, backend="pair-class").law
         G = new_hypergraph(2, 25, [[i, i + 1] for i in range(24)])
         WG = new_weighted_hypergraph(2, 25, [list(e) for e in G.edges], list(range(1, 25)))
         assert (
@@ -610,12 +690,15 @@ def schedule_cases():
     G = new_hypergraph(2, 30, [[i, j] for i in range(30) for j in range(i + 1, 30) if (i + j) % 3])
     star = new_multiplex([appendix_star_hypergraph(12)])
     WG = new_weighted_hypergraph(2, 25, [[i, i + 1] for i in range(24)], list(range(1, 25)))
+    W3 = new_weighted_hypergraph(3, 12, [[i, i + 1, i + 3] for i in range(9)], list(range(1, 10)))
     er = new_correlated_er_params(12, 2, 0.3, 0.1)
     return {
         "dense": (3, lambda cfg: simulate_T(new_multiplex([H3]), cfg, backend="dense")),
         "leading-pair": (4, lambda cfg: simulate_T(star, cfg, backend="leading-pair")),
         "pair-class": (6, lambda cfg: simulate_T(new_multiplex([G]), cfg, backend="pair-class")),
         "weighted": (3, lambda cfg: simulate_W(WG, cfg, backend="pair-class")),
+        "pair-class-r3": (3, lambda cfg: simulate_T(star, cfg, backend="pair-class")),
+        "weighted-r3": (2, lambda cfg: simulate_W(W3, cfg, backend="pair-class")),
         "ap": (5, lambda cfg: simulate_ap_T(20, 3, cfg)),
         "corr-er": (3, lambda cfg: simulate_correlated_er_T(er, cfg)),
     }
@@ -653,13 +736,13 @@ class TestSchedule:
         threads = set()
 
         def recording_counter(*args):
-            count = layer_counter(*args)
+            count, layers = layer_counter(*args)
 
             def recorded(rows):
                 threads.add(threading.get_ident())
                 return count(rows)
 
-            return recorded
+            return recorded, layers
 
         monkeypatch.setattr(simulate, "_layer_counter", recording_counter)
         for chunk in (CHUNK, 300):
