@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Sized
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -133,8 +134,8 @@ def _canonical(
 ) -> tuple[UniformHypergraph, np.ndarray]:
     """new_hypergraph's layer, and per edge of it the index of its input edge.
 
-    The edge list is checked as arrays: a type scan of the edges (each a
-    list or tuple) and of their vertices, a range check, a row sort, a repeated-vertex check and a lexsort duplicate check. The
+    The edge list is checked as arrays: an exact-type scan, a range check, a
+    row sort, a repeated-vertex check and a lexsort duplicate check. The
     error names the first offending edges[i] (or edges[i][j]) in input
     order, with the checks in that order within an edge."""
     if not isinstance(r, int) or r < 2:
@@ -144,12 +145,12 @@ def _canonical(
     if n > MAX_VERTICES:
         raise ValidationError(f"num_vertices: must be at most {MAX_VERTICES} (int32 vertices), got {n}")
     rows = _listed(edges, "edges")
-    not_lists = {t for t in set(map(type, rows)) if not issubclass(t, (list, tuple))}
-    if not_lists:
-        i = next(itertools.compress(itertools.count(), map(not_lists.__contains__, map(type, rows))))
+    try:
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    except TypeError:  # an edge that is not a list, such as a number
+        i = next(i for i, row in enumerate(rows) if not isinstance(row, Sized))
         _canonical(r, n, rows[:i])  # a fault in an earlier edge is named first
-        raise ValidationError(f"edges[{i}]: expected a list of vertices, got {type(rows[i]).__name__}")
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        raise ValidationError(f"edges[{i}]: expected a list of vertices, got {type(rows[i]).__name__}") from None
     ends = np.cumsum(lengths)
     flat = list(itertools.chain.from_iterable(rows))
     # Values are read up to flat[k], the first bool or non-integer.

@@ -202,7 +202,8 @@ class TestArrayLoader:
         [
             (7, r"^edges: expected a list, got int$"),
             ([[0, 1], 5], r"^edges\[1\]: expected a list of vertices, got int$"),
-            ([[0, 1], [1, 2], "01"], r"^edges\[2\]: expected a list of vertices, got str$"),
+            ([[0, 1], [1, 2], "01"], r"^edges\[2\]\[0\]: vertex must be an integer, got '0'$"),
+            ([[0, 1], "01", 5], r"^edges\[1\]\[0\]: vertex must be an integer, got '0'$"),
             ([[0, 1], None, [0, 1.5]], r"^edges\[1\]: expected a list of vertices, got NoneType$"),
             # a fault in an earlier edge is named first
             ([[0, 1.5], 5], r"^edges\[0\]\[1\]: vertex must be an integer"),
