@@ -40,6 +40,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _is_int,
     new_multiplex,
 )
 from monoplex.families import (
@@ -86,6 +87,7 @@ from monoplex.serialize import (
 )
 from monoplex.simulate import (
     EmpiricalLaw,
+    _check_seed,
     exact_law,
     exact_law_weighted,
     new_simulation_config,
@@ -106,7 +108,6 @@ class ExperimentSpec:
     sizes: tuple[int, ...]
     replicates: int
     seed: int
-    shards: int
     law: str
     targets: tuple[dict, ...]
     tail_tol: float
@@ -138,7 +139,7 @@ def _target_rates(t: dict, where: str):
         by_subset = {}
         for j, item in enumerate(rates):
             subset = item.get("subset") if isinstance(item, dict) else None
-            if not isinstance(subset, list) or not all(isinstance(i, int) for i in subset):
+            if not isinstance(subset, list) or not all(_is_int(i) for i in subset):
                 raise ValidationError(f"{where}.rates[{j}].subset: list of layer numbers required")
             by_subset[frozenset(subset)] = _number(item.get("rate"), f"{where}.rates[{j}].rate")
         return by_subset
@@ -159,7 +160,6 @@ def new_experiment_spec(
     sizes,
     replicates: int,
     seed: int,
-    shards: int = 1,
     law: str = "simulate",
     targets=(),
     tail_tol: float = DEFAULT_TAIL_TOL,
@@ -174,7 +174,7 @@ def new_experiment_spec(
         raise ValidationError("sizes: must be a nonempty list")
     sizes = tuple(sizes)
     for i, n in enumerate(sizes):
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValidationError(f"sizes[{i}]: must be an integer >= 1, got {n!r}")
     if law not in ("simulate", "exact"):
         raise ValidationError(f"law: expected 'simulate' or 'exact', got {law!r}")
@@ -182,8 +182,8 @@ def new_experiment_spec(
         raise ValidationError(f"c_rule: expected an object, got {c_rule!r}")
     kind = c_rule.get("kind")
     if kind == "fixed":
-        if not isinstance(c_rule.get("value"), int) or c_rule["value"] < 1:
-            raise ValidationError("c_rule.value: must be an integer >= 1")
+        if not _is_int(c_rule.get("value")) or c_rule["value"] < 1:
+            raise ValidationError(f"c_rule.value: must be an integer >= 1, got {c_rule.get('value')!r}")
     elif kind in ("power", "mean"):
         if _number(c_rule.get("lam"), "c_rule.lam") <= 0:
             raise ValidationError("c_rule.lam: must be a positive number")
@@ -202,11 +202,11 @@ def new_experiment_spec(
         if kind != "derived":
             _target_rates(t, f"targets[{i}]")
     targets = tuple(dict(t) for t in targets)
-    new_simulation_config(1, replicates, seed, shards)
+    new_simulation_config(1, replicates, seed)
     if not isinstance(tail_tol, float) or not 0 < tail_tol < 1:
         raise ValidationError(f"tail_tol: must be in (0, 1), got {tail_tol!r}")
     return ExperimentSpec(
-        scenario, dict(params), dict(c_rule), sizes, replicates, seed, shards, law, targets, tail_tol
+        scenario, dict(params), dict(c_rule), sizes, replicates, seed, law, targets, tail_tol
     )
 
 
@@ -229,7 +229,6 @@ def spec_from_obj(obj: dict, where: str = "spec") -> ExperimentSpec:
         obj["sizes"],
         obj["replicates"],
         obj["seed"],
-        obj.get("shards", 1),
         obj.get("law", "simulate"),
         obj["targets"],
         obj.get("tail_tol", DEFAULT_TAIL_TOL),
@@ -241,7 +240,7 @@ def spec_from_obj(obj: dict, where: str = "spec") -> ExperimentSpec:
 
 
 def _config(spec: ExperimentSpec, c: int, seed: int):
-    return new_simulation_config(c, spec.replicates, seed, spec.shards)
+    return new_simulation_config(c, spec.replicates, seed)
 
 
 # A law as the scenarios give it: the law, and the manifest's record of how
@@ -429,7 +428,7 @@ def _param(params: dict, key: str, default=None, integer: bool = False):
         raise ValidationError(f"params.{key}: required for this scenario")
     if not integer:
         return _number(value, f"params.{key}")
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"params.{key}: must be an integer, got {value!r}")
     return value
 
@@ -457,7 +456,7 @@ def _blocks_graph(blocks: int, triangle_fraction: float):
 
 def _pattern(p, where: str):
     """The graph of a pattern object {"num_vertices": k, "edges": [[u, v], ...]}."""
-    if not isinstance(p, dict) or not isinstance(p.get("num_vertices"), int):
+    if not isinstance(p, dict) or not _is_int(p.get("num_vertices")):
         raise ValidationError(f"{where}.num_vertices: integer required")
     edges = p.get("edges")
     if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) for e in edges):
@@ -749,6 +748,8 @@ def preset_spec(name: str) -> ExperimentSpec:
 def cmd_construct(args) -> int:
     name = args.name
     if name == "ap":
+        if args.n < args.r:  # the loader refuses a file with fewer vertices than r
+            raise ValidationError(f"n: must be >= r = {args.r}, got {args.n}")
         obj = hypergraph_to_obj(ap_hypergraph(range(1, args.n + 1), args.r))
     elif name == "complete":
         obj = hypergraph_to_obj(_complete(args.n))
@@ -758,6 +759,7 @@ def cmd_construct(args) -> int:
         obj = multiplex_to_obj(appendix_three_multiplex(args.n, args.lam, args.variant))
     elif name == "corr-er":
         params = new_correlated_er_params(args.n, args.r, args.p, args.rho)
+        _check_seed(args.seed)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=args.seed)))
         obj = multiplex_to_obj(sample_correlated_er(params, rng))
     else:
@@ -837,7 +839,7 @@ def cmd_compare(args) -> int:
         spec = preset_spec(args.preset)
     overrides = {
         key: getattr(args, key)
-        for key in ("seed", "replicates", "shards")
+        for key in ("seed", "replicates")
         if getattr(args, key) is not None
     }
     if overrides:
@@ -889,7 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, help="run a named preset directly")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None)
+    # Accepted and ignored: the benchmark under bench/ still passes it.
+    p.add_argument("--shards", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", default="runs")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_compare)

@@ -29,6 +29,11 @@ class ResourceBoundError(RuntimeError):
     """Requested computation exceeds a configured size bound."""
 
 
+def _is_int(value) -> bool:
+    """An integer field of a spec or config: an int, and not a JSON boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # Vertices are held as int32.
 MAX_VERTICES = 1 << 31
 

@@ -397,32 +397,25 @@ def sample_correlated_er(
     params: CorrelatedErParams,
     rng: np.random.Generator,
     max_subsets: int = 2_000_000,
-    method: str = "auto",
 ) -> Multiplex:
     """Draw one two-layer multiplex: independently for each r-subset of [n],
     place it in both layers w.p. p12, layer 1 only w.p. p - p12, layer 2 only
     w.p. p - p12, neither otherwise.
 
-    Dense mode enumerates all C(n, r) subsets; sparse mode (r = 2 only) skips
-    between present pairs with geometric jumps and assigns cells only to
-    those, which yields the same law.
+    Up to max_subsets subsets are enumerated in full. Past it, pairs (r = 2)
+    are drawn sparsely, skipping between present pairs with geometric jumps
+    and assigning cells only to those, which yields the same law; larger
+    r-subset counts are refused.
     """
     n, r, p, p12 = params.n, params.r, params.p, params.p12
     M = comb(n, r)
-    if method == "auto":
-        method = "sparse" if M > max_subsets and r == 2 else "dense"
-    if method == "sparse" and r != 2:
-        raise ValidationError("sparse mode supports r = 2 only")
-    if method == "dense" and M > max_subsets:
-        raise ResourceBoundError(f"C({n},{r}) = {M} exceeds enumeration bound {max_subsets}")
-
-    if method == "dense":
+    if M <= max_subsets:
         u = rng.random(M)
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
         subsets = np.fromiter(flat, dtype=np.int64, count=M * r).reshape(M, r)
         e1 = subsets[u < p]
         e2 = subsets[(u < p12) | ((u >= p) & (u < 2.0 * p - p12))]
-    elif method == "sparse":
+    elif r == 2:
         q_any = 2.0 * p - p12
         positions = _sparse_positions(M, q_any, rng)
         v = rng.random(len(positions))
@@ -430,5 +423,5 @@ def sample_correlated_er(
         e1 = pairs[v < p / q_any]
         e2 = pairs[(v < p12 / q_any) | (v >= p / q_any)]
     else:
-        raise ValidationError(f"method: unknown mode {method!r}")
+        raise ResourceBoundError(f"C({n},{r}) = {M} exceeds enumeration bound {max_subsets}")
     return Multiplex(n, (UniformHypergraph(r, n, e1), UniformHypergraph(r, n, e2)))

@@ -4,8 +4,8 @@ Replicates are drawn in fixed-size blocks of 4096; block b draws its whole
 color matrix with one call on a Philox substream derived from (seed, b).
 Each block is counted in slices of CHUNK = 512 rows, one after the other on
 the calling thread, and its row counts are merged in block order. Counters
-are pure functions of a slice's rows, so the law does not depend on the
-slice size; `shards` is accepted and recorded but schedules nothing. Every
+are pure functions of a slice's rows, so the law depends only on
+(c, replicates, seed), never on the slice size. Every
 backend consumes the block's color matrix identically, so backend choice
 never changes results either.
 
@@ -50,6 +50,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _is_int,
     _row_runs,
 )
 from monoplex.families import CorrelatedErParams, ap_count_closed_form
@@ -74,13 +75,11 @@ MAX_COLORS = 2**31 - 1
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """c colors, total replicates, RNG seed, and shard count (accepted and
-    recorded; it schedules nothing)."""
+    """c colors, total replicates and RNG seed."""
 
     c: int
     replicates: int
     seed: int
-    shards: int = 1
 
 
 @dataclass(frozen=True)
@@ -91,26 +90,26 @@ class EmpiricalLaw:
     c = 1 leaves nothing to draw)."""
 
     law: DiscreteLaw
-    replicates: int
-    seed: int
-    shards: int
     blocks: int
     chunk: int
     layers: tuple[dict, ...] = ()
 
 
-def new_simulation_config(c: int, replicates: int, seed: int, shards: int = 1) -> SimulationConfig:
-    if not isinstance(c, int) or c < 1:
+def new_simulation_config(c: int, replicates: int, seed: int) -> SimulationConfig:
+    if not _is_int(c) or c < 1:
         raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
     if c > MAX_COLORS:
         raise ResourceBoundError(f"c: {c} colors exceed {MAX_COLORS}, the most a Monte Carlo draw takes")
-    if not isinstance(replicates, int) or replicates < 1:
-        raise ValidationError(f"replicates: must be >= 1, got {replicates!r}")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not _is_int(replicates) or replicates < 1:
+        raise ValidationError(f"replicates: must be an integer >= 1, got {replicates!r}")
+    _check_seed(seed)
+    return SimulationConfig(c, replicates, seed)
+
+
+def _check_seed(seed) -> None:
+    """A seed is a 64-bit unsigned integer: 0 <= seed < 2^64."""
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ValidationError(f"seed: must be a 64-bit integer, got {seed!r}")
-    if not isinstance(shards, int) or shards < 1:
-        raise ValidationError(f"shards: must be >= 1, got {shards!r}")
-    return SimulationConfig(c, replicates, seed, shards)
 
 
 def _slice_pair_budget() -> int:
@@ -468,12 +467,6 @@ def _row_counts(out: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
         yield tuple(key), k
 
 
-def _block_plan(cfg: SimulationConfig) -> list[tuple[int, int]]:
-    """(block index, rows in block) covering all replicates, in block order."""
-    total_blocks = -(-cfg.replicates // BLOCK_SIZE)
-    return [(b, min(BLOCK_SIZE, cfg.replicates - b * BLOCK_SIZE)) for b in range(total_blocks)]
-
-
 def _count_in_slices(rows: np.ndarray, count) -> np.ndarray:
     """count(rows) -> (rows, d), evaluated CHUNK rows at a time, so that a
     slice's sort and gap walk stay in cache and its same-color pairs are
@@ -489,15 +482,16 @@ def _accumulate(
     block's counts to its rows of the law, drawing from the block's
     generator after its colors."""
     counts: Counter = Counter()
-    plan = _block_plan(cfg)
-    for block, B in plan:
+    blocks = range(-(-cfg.replicates // BLOCK_SIZE))
+    for block in blocks:
         rng = _block_rng(cfg.seed, block)
+        B = min(BLOCK_SIZE, cfg.replicates - block * BLOCK_SIZE)
         out = _count_in_slices(rng.integers(1, cfg.c + 1, size=(B, n_vertices), dtype=np.int32), count)
         if finish is not None:
             out = finish(rng, out)
         for key, k in _row_counts(out):
             counts[key] += k
-    return _empirical(counts, d, cfg, len(plan), layers)
+    return _empirical(counts, d, cfg, len(blocks), layers)
 
 
 def _empirical(
@@ -505,13 +499,13 @@ def _empirical(
 ) -> EmpiricalLaw:
     pmf = {key: Fraction(k, cfg.replicates) for key, k in counts.items()}
     law = law_from_pmf(d, pmf, 0)
-    return EmpiricalLaw(law, cfg.replicates, cfg.seed, cfg.shards, blocks, CHUNK, layers)
+    return EmpiricalLaw(law, blocks, CHUNK, layers)
 
 
 def simulate_T(M: Multiplex, cfg: SimulationConfig, backend: str = "auto") -> EmpiricalLaw:
     """Empirical joint law of per-layer monochromatic counts over
     cfg.replicates colorings. The law depends only on (c, replicates, seed);
-    shards, backend and slice size never change it."""
+    backend and slice size never change it."""
     d = M.num_layers
     if cfg.c == 1:
         key = tuple(layer.num_edges for layer in M.layers)

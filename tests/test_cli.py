@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from collections import Counter
 from math import exp
 from pathlib import Path
@@ -31,7 +32,8 @@ from monoplex.simulate import BLOCK_SIZE, CHUNK, _choose_backend, new_simulation
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def run_cli(*argv):
@@ -117,6 +119,20 @@ class TestConstruct:
     def test_unknown_exits_2(self, tmp_path, capsys):
         assert run_cli("construct", "moebius", "--n", 5) == 2
         assert "unknown construction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", (0, 2))
+    def test_ap_with_fewer_vertices_than_r_exits_2(self, n, tmp_path, capsys):
+        out = tmp_path / "ap.json"
+        assert run_cli("construct", "ap", "--n", n, "--r", 3, "--out", out) == 2
+        assert f"n: must be >= r = 3, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corr_er_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "er.json"
+        assert run_cli("construct", "corr-er", "--n", 20, "--r", 2, "--seed", -1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "seed:" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestMoments:
@@ -226,7 +242,8 @@ class TestPreset:
         assert obj["scenario"] == scenario
         assert tuple(obj["sizes"]) == sizes
         assert obj["replicates"] == replicates
-        assert (obj["seed"], obj["shards"], obj["law"]) == (20260816, 1, "simulate")
+        assert (obj["seed"], obj["law"]) == (20260816, "simulate")
+        assert "shards" not in obj
 
     def test_unknown_lists_presets(self, capsys):
         assert run_cli("preset", "party") == 2
@@ -250,7 +267,6 @@ def make_spec(**kw):
         sizes=(3,),
         replicates=100,
         seed=1,
-        shards=1,
         law="exact",
         targets=({"kind": "poisson", "rate": 0.25, "label": "pois-quarter"},),
     )
@@ -279,25 +295,30 @@ class TestCompare:
         cfg = tmp_path / "spec.json"
         write_json(cfg, obj)
         outs = []
-        for name, shards in (("a", 1), ("b", 1), ("c", 3)):
+        for name in ("a", "b"):
             out = tmp_path / name
-            assert run_cli("compare", "--config", cfg, "--shards", shards, "--out", out) == 0
+            assert run_cli("compare", "--config", cfg, "--out", out) == 0
             outs.append((out / "results.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_results_independent_of_slices_and_shards(self, tmp_path, monkeypatch):
+        # A spec file's shards field and the --shards flag are accepted and
+        # ignored: neither changes the run or reaches the manifest.
         obj = spec_to_obj(preset_spec("birthday"))
         obj["sizes"] = [20, 40]
         obj["replicates"] = BLOCK_SIZE + 700
+        obj["shards"] = 3
         cfg = tmp_path / "spec.json"
         write_json(cfg, obj)
         outs = []
-        for chunk, shards in ((CHUNK, 1), (300, 1), (CHUNK, 2), (CHUNK, 3)):
+        for chunk, shards in ((CHUNK, ()), (300, ()), (CHUNK, ("--shards", 1)), (CHUNK, ("--shards", 2))):
             monkeypatch.setattr(simulate, "CHUNK", chunk)
-            out = tmp_path / f"k{chunk}s{shards}"
-            assert run_cli("compare", "--config", cfg, "--shards", shards, "--out", out) == 0
+            out = tmp_path / f"k{chunk}s{len(outs)}"
+            assert run_cli("compare", "--config", cfg, *shards, "--out", out) == 0
             outs.append((out / "results.csv").read_bytes())
-            rows = read_json(out / "manifest.json")["results"]
+            manifest = read_json(out / "manifest.json")
+            assert "shards" not in manifest["spec"]
+            rows = manifest["results"]
             assert [r["counting"] for r in rows] == [
                 {
                     "law": "simulate",
@@ -607,6 +628,18 @@ class TestSpecValidation:
             ({"c_rule": {"kind": "power", "lam": 1.0, "a": float("inf")}}, "c_rule.a"),
             ({"targets": [{"kind": "poisson", "label": "p", "rate": float("-inf")}]}, "targets[0].rate"),
             ({"scenario": "corr-er", "params": {"p": float("nan"), "rho": 0.1}}, "params.p"),
+            ({"sizes": [True]}, "sizes[0]"),
+            ({"c_rule": {"kind": "fixed", "value": True}}, "c_rule.value"),
+            ({"replicates": True}, "replicates"),
+            ({"seed": True}, "seed"),
+            (
+                {"targets": [{"kind": "shared", "label": "s", "rates": [{"subset": [True], "rate": 0.5}]}]},
+                "targets[0].rates[0].subset",
+            ),
+            (
+                {"scenario": "pattern-copies", "params": {"patterns": [dict(PATH3, num_vertices=True)]}},
+                "params.patterns[0].num_vertices",
+            ),
         ],
         ids=[
             "poisson-without-rate",
@@ -621,6 +654,12 @@ class TestSpecValidation:
             "power-a-infinity",
             "rate-minus-infinity",
             "corr-er-p-nan",
+            "size-true",
+            "c-value-true",
+            "replicates-true",
+            "seed-true",
+            "subset-layer-true",
+            "pattern-num_vertices-true",
         ],
     )
     def test_malformed_spec_file_exits_2(self, change, field, tmp_path, capsys):
@@ -767,6 +806,28 @@ class TestScenarioLaws:
         loader.loader.exec_module(spans)
         assert [a for a in spans.CLI_LAYERS if not hasattr(cli, a)] == []
         assert [a for a in spans.MOMENTS_LAYERS if not hasattr(monoplex.moments, a)] == []
+
+    @pytest.mark.parametrize("workload", ("ap-sweep", "preset-sweep", "exact-oracle"))
+    def test_bench_argv_parses(self, workload, tmp_path, monkeypatch):
+        # The benchmark drives cli.main with these argument lists; a flag
+        # the parser no longer takes would end its run with SystemExit.
+        monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checks
+        loader = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # for its dataclasses
+        loader.loader.exec_module(workloads)
+        assert workload in workloads.WORKLOADS
+        inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
+        workloads.setup(workload, inputs, 1)
+        argvs = []
+        for op in workloads.operations(workload, inputs, outputs, 1):
+            argvs += [op.argv, op.shards_argv] if op.shards_argv else [op.argv]
+        for _, *runs in workloads.multi_block_shard_runs(workload, inputs, outputs, 1):
+            argvs += runs
+        parser = cli.build_parser()
+        for argv in argvs:
+            parser.parse_args([str(a) for a in argv])
+        assert argvs
 
     @pytest.mark.parametrize("name, law", [("simulate_T", "simulate"), ("exact_law", "exact")])
     def test_law_calls_go_through_module_globals(self, name, law, monkeypatch, tmp_path):

@@ -325,7 +325,8 @@ class TestCorrelatedEr:
         tot1 = tot2 = tot_both = 0
         draws = 150
         for _ in range(draws):
-            M = sample_correlated_er(params, rng, method="sparse")
+            # C(60, 2) = 1770 pairs pass max_subsets, so pairs are drawn sparsely
+            M = sample_correlated_er(params, rng, max_subsets=1000)
             s1, s2 = set(M.layers[0].edges), set(M.layers[1].edges)
             tot1 += len(s1)
             tot2 += len(s2)

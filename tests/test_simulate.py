@@ -460,11 +460,12 @@ class TestSimulateT:
         emp = simulate_T(M, new_simulation_config(3, 500, 0))
         assert emp.law.pmf == {(0,): Fraction(1)}
 
-    def test_shard_invariance(self):
+    def test_slice_invariance(self, monkeypatch):
         M = new_multiplex([H3, new_hypergraph(2, 5, [[0, 1], [3, 4]])])
+        cfg = new_simulation_config(2, 10_000, 42)
         laws = []
-        for shards in (1, 4, 7):
-            cfg = new_simulation_config(2, 10_000, 42, shards=shards)
+        for chunk in (CHUNK, 300, 64):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
             laws.append(simulate_T(M, cfg).law)
         assert laws[0] == laws[1] == laws[2]
 
@@ -613,17 +614,18 @@ class TestWeightSums:
 
 
 class TestSimulateAp:
-    def test_bitwise_matches_generic(self):
+    def test_bitwise_matches_generic(self, monkeypatch):
         # 9216 replicates: three blocks, the last one short. c = 2^31 - 1
         # puts the packed keys past uint32, so the int64 sort runs.
         for n, r, c in ((20, 3, 5), (17, 4, 5), (26, 5, 2), (200, 3, 2**31 - 1)):
             H = ap_hypergraph(range(1, n + 1), r)
             cfg = new_simulation_config(c, 9216, 19)
+            monkeypatch.setattr(simulate, "CHUNK", CHUNK)
             fast = simulate_ap_T(n, r, cfg)
             generic = simulate_T(new_multiplex([H]), cfg)
             assert fast.law == generic.law, (n, r, c)
-            sharded = simulate_ap_T(n, r, new_simulation_config(c, 9216, 19, shards=2))
-            assert sharded.law == fast.law, (n, r, c)
+            monkeypatch.setattr(simulate, "CHUNK", 300)
+            assert simulate_ap_T(n, r, cfg).law == fast.law, (n, r, c)
 
     def test_r_validation(self):
         with pytest.raises(ValidationError):
@@ -678,10 +680,12 @@ class TestCorrelatedErSimulation:
         assert float(mom.means[0]) == pytest.approx(expect, rel=0.05)
         assert float(mom.means[1]) == pytest.approx(expect, rel=0.05)
 
-    def test_determinism_and_shards(self):
+    def test_determinism_across_slices(self, monkeypatch):
         params = new_correlated_er_params(12, 2, 0.3, 0.1)
-        a = simulate_correlated_er_T(params, new_simulation_config(3, 8_192, 2, shards=1))
-        b = simulate_correlated_er_T(params, new_simulation_config(3, 8_192, 2, shards=3))
+        cfg = new_simulation_config(3, 8_192, 2)
+        a = simulate_correlated_er_T(params, cfg)
+        monkeypatch.setattr(simulate, "CHUNK", 300)
+        b = simulate_correlated_er_T(params, cfg)
         assert a.law == b.law
 
 
@@ -775,8 +779,10 @@ class TestConfigValidation:
             new_simulation_config(2, 0, 0)
         with pytest.raises(ValidationError):
             new_simulation_config(2, 10, -1)
-        with pytest.raises(ValidationError):
-            new_simulation_config(2, 10, 0, shards=0)
+        # a boolean is not an integer, and the message names the field
+        for field, args in (("c", (True, 10, 0)), ("replicates", (2, True, 0)), ("seed", (2, 10, True))):
+            with pytest.raises(ValidationError, match=f"^{field}:"):
+                new_simulation_config(*args)
 
     def test_colors_fit_the_int32_draw(self):
         assert new_simulation_config(2**31 - 1, 10, 0).c == 2**31 - 1
