@@ -141,6 +141,8 @@ def _target_rates(t: dict, where: str):
             subset = item.get("subset") if isinstance(item, dict) else None
             if not isinstance(subset, list) or not all(_is_int(i) for i in subset):
                 raise ValidationError(f"{where}.rates[{j}].subset: list of layer numbers required")
+            if frozenset(subset) in by_subset:
+                raise ValidationError(f"{where}.rates[{j}].subset: {sorted(set(subset))} is given twice")
             by_subset[frozenset(subset)] = _number(item.get("rate"), f"{where}.rates[{j}].rate")
         return by_subset
     if not isinstance(rates, dict) or not rates:
@@ -149,6 +151,8 @@ def _target_rates(t: dict, where: str):
     for w, rate in rates.items():
         if not str(w).isdecimal() or int(w) < 1:
             raise ValidationError(f"{where}.rates: weight {w!r} must be an integer >= 1")
+        if int(w) in by_weight:
+            raise ValidationError(f"{where}.rates[{w}]: weight {int(w)} is given twice")
         by_weight[int(w)] = _number(rate, f"{where}.rates[{w}]")
     return [by_weight.get(w, 0.0) for w in range(1, max(by_weight) + 1)]
 

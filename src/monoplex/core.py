@@ -34,6 +34,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_c(c) -> None:
+    """c colors: an integer >= 1."""
+    if not _is_int(c) or c < 1:
+        raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
+
+
 # Vertices are held as int32.
 MAX_VERTICES = 1 << 31
 
@@ -246,11 +252,11 @@ def weighted_layer(
     [1, weight_bound]; weight_bound None takes the largest weight."""
     aligned = tuple(weights)
     for i, w in enumerate(aligned):
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+        if not _is_int(w) or w < 1:
             raise ValidationError(f"weights[{i}]: weight must be an integer >= 1, got {w!r}")
+    if weight_bound is not None and (not _is_int(weight_bound) or weight_bound < 1):
+        raise ValidationError(f"weight_bound: must be an integer >= 1, got {weight_bound!r}")
     bound = max(aligned, default=1) if weight_bound is None else weight_bound
-    if bound < 1:
-        raise ValidationError(f"weight_bound: must be >= 1, got {bound}")
     for i, w in enumerate(aligned):
         if w > bound:
             raise ValidationError(f"weights[{i}]: weight {w} exceeds bound {bound}")
@@ -449,8 +455,7 @@ def truncation_split(H: UniformHypergraph, eps: float, c: int) -> TruncationSpli
     """
     if eps <= 0:
         raise ValidationError(f"eps: must be > 0, got {eps}")
-    if c < 1:
-        raise ValidationError(f"c: must be >= 1, got {c}")
+    _check_c(c)
     r = H.uniformity
     if r == 2:
         return TruncationSplit(H.edges, (), False)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from monoplex.core import ResourceBoundError, ValidationError
+from monoplex.core import ResourceBoundError, ValidationError, _is_int
 
 Real = Union[float, Fraction]
 
@@ -121,7 +121,7 @@ def new_shared_component_spec(
         s = frozenset(key)
         if not s:
             raise ValidationError("rates: empty subset key")
-        if not all(isinstance(i, int) and 1 <= i <= d for i in s):
+        if not all(_is_int(i) and 1 <= i <= d for i in s):
             raise ValidationError(f"rates: subset {sorted(s)} not within [1, {d}]")
         if s in canon:
             raise ValidationError(f"rates: duplicate subset {sorted(s)}")

@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Union
 from monoplex.core import (
     Multiplex,
     UniformHypergraph,
-    ValidationError,
     WeightedUniformHypergraph,
+    _check_c,
     _layer_sums,
     _pair_sums,
     k_cross_all,
@@ -115,11 +115,6 @@ def _pair_terms(
         t: sums[t] * _inv_pow(c, r1 + r2 - t - 1, rational) * (one - _inv_pow(c, t - 1, rational))
         for t in range(2, min(r1, r2) + 1)
     }
-
-
-def _check_c(c: int) -> None:
-    if not isinstance(c, int) or c < 1:
-        raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
 
 
 def mean_T(H: UniformHypergraph, c: int, rational: bool = False) -> Real:

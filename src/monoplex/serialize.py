@@ -14,6 +14,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _is_int,
     new_hypergraph,
     new_multiplex,
     new_weighted_hypergraph,
@@ -57,9 +58,13 @@ def multiplex_from_obj(obj: dict, where: str = "multiplex") -> Multiplex:
     layers = _require(obj, "layers", where)
     if not isinstance(layers, list):
         raise ValidationError(f"{where}.layers: expected a list")
-    return new_multiplex(
+    M = new_multiplex(
         hypergraph_from_obj(layer, f"{where}.layers[{i}]") for i, layer in enumerate(layers)
     )
+    n = obj.get("num_vertices", M.num_vertices)
+    if not _is_int(n) or n != M.num_vertices:
+        raise ValidationError(f"{where}.num_vertices: {n!r} differs from the layers' {M.num_vertices}")
+    return M
 
 
 def weighted_to_obj(WH: WeightedUniformHypergraph) -> dict:

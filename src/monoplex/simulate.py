@@ -14,15 +14,15 @@ color*n + v once (unique keys, so this is the stable argsort's permutation)
 and walking the sorted rows by span: the pairs at span s are the positions
 whose s predecessors share their color. The AP kernel extends these pairs
 to progressions. The pair-class backend packs each monochromatic r-subset
-of the walk (first and last at span s, any r - 2 positions between) into a
-base-n key and tests it against the layer's sorted edge keys; for r = 2
-these are the pairs themselves. One slice may hold PAIR_BUDGET * CHUNK //
-BLOCK_SIZE pairs, and as many r-subsets, so whether a run is refused
-depends on its inputs alone. Auto sends a layer of at least 500 edges to
-pair-class when the expected monochromatic r-subsets of a row,
-C(n, r) / c^(r-1), are below an eighth of its edges.
-Weighted totals are summed exactly: in int64 by dense, in float64 by the
-other backends, which are refused once the weight sum reaches 2^53.
+of the walk, for every r >= 2 (first and last at span s, any r - 2
+positions between), into a base-n key and tests it against the layer's
+sorted edge keys. One slice may hold PAIR_BUDGET * CHUNK // BLOCK_SIZE
+pairs, and as many r-subsets, so whether a run is refused depends on its
+inputs alone. Auto sends a layer of at least 500 edges to pair-class when
+the expected monochromatic r-subsets of a row, C(n, r) / c^(r-1), are below
+an eighth of its edges.
+Every backend sums weighted totals exactly in int64; a layer whose weight
+sum does not fit in int64 is refused.
 
 The exact law runs through the same per-layer counters and the same
 slicing. Colors are exchangeable, so the counts depend only on
@@ -50,6 +50,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _check_c,
     _is_int,
     _row_runs,
 )
@@ -96,14 +97,18 @@ class EmpiricalLaw:
 
 
 def new_simulation_config(c: int, replicates: int, seed: int) -> SimulationConfig:
-    if not _is_int(c) or c < 1:
-        raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
-    if c > MAX_COLORS:
-        raise ResourceBoundError(f"c: {c} colors exceed {MAX_COLORS}, the most a Monte Carlo draw takes")
+    _check_drawn_c(c)
     if not _is_int(replicates) or replicates < 1:
         raise ValidationError(f"replicates: must be an integer >= 1, got {replicates!r}")
     _check_seed(seed)
     return SimulationConfig(c, replicates, seed)
+
+
+def _check_drawn_c(c) -> None:
+    """c colors drawn at random: an integer in [1, MAX_COLORS]."""
+    _check_c(c)
+    if c > MAX_COLORS:
+        raise ResourceBoundError(f"c: {c} colors exceed {MAX_COLORS}, the most a Monte Carlo draw takes")
 
 
 def _check_seed(seed) -> None:
@@ -124,8 +129,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def sample_coloring(n: int, c: int, rng: np.random.Generator) -> Coloring:
     """One uniform coloring: i.i.d. colors in [1, c]."""
-    if c < 1:
-        raise ValidationError(f"c: must be >= 1, got {c}")
+    _check_drawn_c(c)
     colors = rng.integers(1, c + 1, size=n, dtype=np.int32)
     return Coloring(tuple(int(a) for a in colors), c)
 
@@ -181,12 +185,13 @@ def _leading_pair_tables(edges: np.ndarray, n: int):
 
 
 def _row_totals(rows: np.ndarray, weights: np.ndarray | None, B: int) -> np.ndarray:
-    """Per-row hit counts, or per-row weight totals: weights are summed in
-    float64, exact because every weight sum stays below 2^53."""
+    """Per-row hit counts, or per-row weight totals summed in int64, exact
+    because every layer's weight sum fits in int64."""
     if weights is None:
         return np.bincount(rows, minlength=B).astype(np.int64)
-    acc = np.bincount(rows, weights=weights.astype(np.float64), minlength=B)
-    return np.rint(acc).astype(np.int64)
+    out = np.zeros(B, dtype=np.int64)
+    np.add.at(out, rows, weights)
+    return out
 
 
 def _leading_pair_T(
@@ -265,8 +270,11 @@ def _spans(same: np.ndarray, B: int, n: int) -> Iterator[tuple[int, np.ndarray]]
         s += 1
 
 
-def _walk_pairs(n: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, u, v) with u < v for every pair of a color walk."""
+def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All unordered same-color vertex pairs of every replicate row, as
+    (rows, u, v) with u < v."""
+    n = colors.shape[1]
+    keys, width, spans = _color_walk(colors)
     rows_parts, u_parts, v_parts = [], [], []
     for s, idx in spans:
         rows_parts.append(idx // n)
@@ -280,27 +288,21 @@ def _walk_pairs(n: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, np.
     return np.concatenate(rows_parts), u, v
 
 
-def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All unordered same-color vertex pairs of every replicate row, as
-    (rows, u, v) with u < v."""
-    return _walk_pairs(colors.shape[1], *_color_walk(colors))
-
-
 def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, np.ndarray]:
-    """Every monochromatic r-subset (r >= 3) of a color walk's rows, each
+    """Every monochromatic r-subset (r >= 2) of a color walk's rows, each
     once: (packed, last), its vertices in ascending order packed base n, and
     the flat sorted position of its last vertex (its row is last // n).
 
     At span s, a position p whose s predecessors share its color is the last
     element, p - s the first, and any r - 2 of the s - 1 positions between
-    are the middle. Inside a color class positions ascend with vertex ids, so
-    each subset comes once, in ascending order. A span's subsets are counted
-    before they are listed, and a slice is refused once they pass its share
-    of PAIR_BUDGET.
+    are the middle (none for a pair). Inside a color class positions ascend
+    with vertex ids, so each subset comes once, in ascending order. A span's
+    subsets are counted before they are listed, and a slice is refused once
+    they pass its share of PAIR_BUDGET.
     """
     budget = _slice_pair_budget()
     held = 0
-    packed, lasts = [], []
+    packed, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for s, idx in spans:
         if s < r - 1:
             continue
@@ -318,9 +320,6 @@ def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tu
         key = key * n + (keys[idx] % width)[:, None]
         packed.append(key.ravel())
         lasts.append(np.repeat(idx, len(middles)))
-    if not packed:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy()
     return np.concatenate(packed), np.concatenate(lasts)
 
 
@@ -359,7 +358,7 @@ def _choose_backend(H: UniformHypergraph, c: int, requested: str) -> str:
             raise ValidationError("leading-pair backend requires uniformity >= 3")
         if requested not in ("dense", "leading-pair", "pair-class"):
             raise ValidationError(f"backend: unknown choice {requested!r}")
-        return requested
+        return requested if E else "dense"  # an edgeless layer has no tables
     # pair-class pays a row sort, the walk's same-color pairs and the
     # expected monochromatic r-subsets; dense pays E edge tests, leading-pair
     # one test per distinct leading pair. Forced timings on K_n layers that
@@ -398,23 +397,15 @@ def _layer_counter(
             total = sum(weights)
             if total >= 2**63:
                 raise ResourceBoundError(f"weight sum {total} does not fit in int64")
-            if total >= 2**53 and kind != "dense":
-                if backend != "auto":
-                    raise ResourceBoundError(
-                        f"{kind} backend sums weights in float64, exact only below 2^53; "
-                        f"weight sum is {total}"
-                    )
-                kind = "dense"
         edges = layer.edge_array
         r = layer.uniformity
         w = None if weights is None else np.asarray(weights, dtype=np.int64)
-        if kind == "leading-pair" and len(edges):
-            plans.append((kind, r, edges, w, _leading_pair_tables(edges, n)))
-        elif kind == "pair-class" and len(edges):
-            plans.append((kind, r, edges, w, _pair_class_tables(edges, n, w)))
-        else:  # dense, also for an edgeless layer under any backend
-            kind = "dense"
-            plans.append((kind, r, edges, w, None))
+        tables = None
+        if kind == "leading-pair":
+            tables = _leading_pair_tables(edges, n)
+        elif kind == "pair-class":
+            tables = _pair_class_tables(edges, n, w)
+        plans.append((kind, r, edges, w, tables))
         records.append(
             {
                 "backend": kind,
@@ -430,17 +421,13 @@ def _layer_counter(
 
     def count(colors: np.ndarray) -> np.ndarray:
         B = colors.shape[0]
-        found = {}  # uniformity -> (packed keys, rows or last positions)
+        found = {}  # uniformity -> (packed keys, last positions)
         if walked:
             keys, width, spans = _color_walk(colors)
-            if walked[-1] > 2:
+            if len(walked) > 1:
                 spans = list(spans)  # walked once, read per uniformity
             for r in walked:
-                if r == 2:
-                    rows, u, v = _walk_pairs(n, keys, width, spans)
-                    found[r] = (u * n + v, rows)
-                else:
-                    found[r] = _monochromatic_subsets(n, r, keys, width, spans)
+                found[r] = _monochromatic_subsets(n, r, keys, width, spans)
         cols = []
         for kind, r, edges, w, tables in plans:
             if kind == "dense":
@@ -448,10 +435,9 @@ def _layer_counter(
             elif kind == "leading-pair":
                 cols.append(_leading_pair_T(colors, edges, tables, w))
             else:
-                packed, owner = found[r]
+                packed, last = found[r]
                 ok, hit_weights = _edge_hits(tables, packed)
-                rows = owner[ok] if r == 2 else owner[ok] // n
-                cols.append(_row_totals(rows, hit_weights, B))
+                cols.append(_row_totals(last[ok] // n, hit_weights, B))
         return np.stack(cols, axis=1)
 
     return count, tuple(records)
@@ -635,8 +621,7 @@ def _exact(
 ) -> DiscreteLaw:
     """Exact joint pmf over all c^n colorings, counted partition by
     partition; masses integer/c^n, tail 0."""
-    if c < 1:
-        raise ValidationError(f"c: must be >= 1, got {c}")
+    _check_c(c)
     kmax = min(c, n)
     states = _partition_count(n, kmax)
     if states > max_states:

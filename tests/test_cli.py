@@ -160,6 +160,33 @@ class TestMoments:
         assert report["r1_term"] == "9/16"
         assert report["r2_terms"]["2"] == "1/8"
 
+    @pytest.mark.parametrize("bound", ["3", [2], 2.5, True, 0])
+    def test_bad_weight_bound_exits_2(self, tmp_path, capsys, bound):
+        f = tmp_path / "w.json"
+        write_json(
+            f,
+            {
+                "kind": "weighted_hypergraph",
+                "uniformity": 2,
+                "num_vertices": 3,
+                "edges": [[0, 1], [1, 2]],
+                "weights": [1, 2],
+                "weight_bound": bound,
+            },
+        )
+        assert run_cli("moments", f, "--c", 2) == 2
+        err = capsys.readouterr().err
+        assert "weight_bound" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [99, 2, "3"])
+    def test_multiplex_num_vertices_must_match_layers(self, tmp_path, capsys, n):
+        layer = {"kind": "uniform_hypergraph", "uniformity": 2, "num_vertices": 3, "edges": [[0, 1]]}
+        f = tmp_path / "m.json"
+        write_json(f, {"kind": "multiplex", "num_vertices": n, "layers": [layer, layer]})
+        assert run_cli("moments", f, "--c", 2) == 2
+        err = capsys.readouterr().err
+        assert "num_vertices" in err and "Traceback" not in err
+
     def test_multiplex_symmetric(self, tmp_path, capsys):
         layer = {"kind": "uniform_hypergraph", "uniformity": 2, "num_vertices": 4, "edges": [[0, 1], [2, 3]]}
         other = dict(layer, edges=[[0, 1], [1, 2]])
@@ -640,6 +667,22 @@ class TestSpecValidation:
                 {"scenario": "pattern-copies", "params": {"patterns": [dict(PATH3, num_vertices=True)]}},
                 "params.patterns[0].num_vertices",
             ),
+            (
+                {
+                    "targets": [
+                        {
+                            "kind": "shared",
+                            "label": "s",
+                            "rates": [{"subset": [1], "rate": 0.3}, {"subset": [1], "rate": 5.0}],
+                        }
+                    ]
+                },
+                "targets[0].rates[1]",
+            ),
+            (
+                {"targets": [{"kind": "compound", "label": "w", "rates": {"1": 0.3, "01": 5.0}}]},
+                "targets[0].rates[1]: weight 1 is given twice",
+            ),
         ],
         ids=[
             "poisson-without-rate",
@@ -660,6 +703,8 @@ class TestSpecValidation:
             "seed-true",
             "subset-layer-true",
             "pattern-num_vertices-true",
+            "shared-subset-twice",
+            "compound-weight-twice",
         ],
     )
     def test_malformed_spec_file_exits_2(self, change, field, tmp_path, capsys):

@@ -33,7 +33,7 @@ from monoplex.families import (
     new_pattern_graph,
     vertex_copy_weighted_hypergraph,
 )
-from monoplex.laws import law_moments, poisson_law, tv_distance
+from monoplex.laws import law_moments, new_shared_component_spec, poisson_law, tv_distance
 from monoplex.moments import covariance_T, mean_T, mean_W, variance_T, variance_W
 from monoplex.simulate import (
     BLOCK_SIZE,
@@ -317,7 +317,7 @@ class TestSameColorPairs:
         assert simulate._slice_pair_budget() <= simulate.PAIR_BUDGET
         assert simulate.PAIR_BUDGET * max(per_pair) <= 2 * 2**30
 
-    @given(color_blocks(), st.sampled_from([3, 4]))
+    @given(color_blocks(), st.sampled_from([2, 3, 4]))
     @settings(max_examples=100, deadline=None)
     def test_subsets_match_brute_force(self, colors, r):
         B, n = colors.shape
@@ -586,22 +586,22 @@ class TestWeightSums:
         return new_weighted_hypergraph(2, 3, [[0, 1], [1, 2]], [w, w])
 
     def test_above_float_precision_stays_exact(self):
-        # Float64 sums round 2^53 + 1, so the pair-summing backends refuse it
-        # and auto counts it in int64.
+        # A float64 sum would round 2^53 + 1; every backend sums in int64.
         w = 2**53 + 1
         WH = self.path(w)
         cfg = new_simulation_config(2, 2000, 3)
         auto = simulate_W(WH, cfg)
         assert auto.law == simulate_W(WH, cfg, backend="dense").law
+        assert auto.law == simulate_W(WH, cfg, backend="pair-class").law
         assert set(auto.law.support) == {(0,), (w,), (2 * w,)}
         assert exact_law_weighted(WH, 2).pmf == {
             (0,): Fraction(1, 4), (w,): Fraction(1, 2), (2 * w,): Fraction(1, 4)
         }
-        with pytest.raises(ResourceBoundError):
-            simulate_W(WH, cfg, backend="pair-class")
         star = new_weighted_hypergraph(3, 4, [[0, 1, 2], [0, 1, 3]], [w, 1])
-        with pytest.raises(ResourceBoundError):
-            simulate_W(star, cfg, backend="leading-pair")
+        star_law = simulate_W(star, cfg, backend="leading-pair").law
+        for backend in ("auto", "dense", "pair-class"):
+            assert simulate_W(star, cfg, backend=backend).law == star_law
+        assert set(star_law.support) == {(0,), (1,), (w,), (w + 1,)}
 
     @pytest.mark.parametrize("w", (2**62, 2**63))
     def test_past_int64_raises(self, w):
@@ -783,6 +783,23 @@ class TestConfigValidation:
         for field, args in (("c", (True, 10, 0)), ("replicates", (2, True, 0)), ("seed", (2, 10, True))):
             with pytest.raises(ValidationError, match=f"^{field}:"):
                 new_simulation_config(*args)
+
+    @pytest.mark.parametrize(
+        "call, error, field",
+        [
+            (lambda: new_shared_component_spec(2, {frozenset({True}): 0.5}), ValidationError, "rates"),
+            (lambda: mean_T(H3, True), ValidationError, "c"),
+            (lambda: exact_law(new_multiplex([H3]), 2.0), ValidationError, "c"),
+            (lambda: exact_law(new_multiplex([H3]), True), ValidationError, "c"),
+            (lambda: sample_coloring(5, 2**31, np.random.default_rng(0)), ResourceBoundError, "c"),
+        ],
+        ids=["layer-true", "moments-c-true", "exact-c-float", "exact-c-true", "draw-c-past-int32"],
+    )
+    def test_library_integers(self, call, error, field):
+        # a bool or a float is not a layer number or a color count, and a
+        # draw takes at most MAX_COLORS colors
+        with pytest.raises(error, match=f"^{field}"):
+            call()
 
     def test_colors_fit_the_int32_draw(self):
         assert new_simulation_config(2**31 - 1, 10, 0).c == 2**31 - 1
