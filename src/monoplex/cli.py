@@ -438,10 +438,10 @@ def _param(params: dict, key: str, default=None, integer: bool = False):
 
 
 def _complete(n: int) -> UniformHypergraph:
-    """K_n as a 2-uniform hypergraph."""
+    """K_n, for n >= 2."""
     if n < 2:
         raise ValidationError(f"n: complete graph needs n >= 2, got {n}")
-    return UniformHypergraph(2, n, np.column_stack(np.triu_indices(n, 1)))
+    return complete_graph(n)
 
 
 def _blocks_graph(blocks: int, triangle_fraction: float):
@@ -465,7 +465,10 @@ def _pattern(p, where: str):
     edges = p.get("edges")
     if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) for e in edges):
         raise ValidationError(f"{where}.edges: list of vertex pairs required")
-    return new_pattern_graph(p["num_vertices"], edges)
+    try:
+        return new_pattern_graph(p["num_vertices"], edges)
+    except ValidationError as e:
+        raise ValidationError(f"{where}.{e}") from None
 
 
 def _multiplex_scenario(n: int, layers: list[UniformHypergraph]) -> MultiplexScenario:

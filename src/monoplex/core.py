@@ -218,13 +218,14 @@ def new_multiplex(layers: Iterable[UniformHypergraph]) -> Multiplex:
     layers = tuple(layers)
     if not layers:
         raise ValidationError("layers: at least one layer required")
-    n = layers[0].num_vertices
     for i, layer in enumerate(layers):
-        if layer.num_vertices != n:
+        if not isinstance(layer, UniformHypergraph):
+            raise ValidationError(f"layers[{i}]: expected a UniformHypergraph, got {type(layer).__name__}")
+        if layer.num_vertices != layers[0].num_vertices:
             raise ValidationError(
-                f"layers[{i}]: num_vertices {layer.num_vertices} != shared {n}"
+                f"layers[{i}]: num_vertices {layer.num_vertices} != shared {layers[0].num_vertices}"
             )
-    return Multiplex(n, layers)
+    return Multiplex(layers[0].num_vertices, layers)
 
 
 def new_weighted_hypergraph(
@@ -264,8 +265,7 @@ def weighted_layer(
 
 
 def new_coloring(colors: Sequence[int], c: int) -> Coloring:
-    if c < 1:
-        raise ValidationError(f"num_colors: must be >= 1, got {c}")
+    _check_c(c)
     for i, a in enumerate(colors):
         if not isinstance(a, int) or isinstance(a, bool) or a < 1 or a > c:
             raise ValidationError(f"colors[{i}]: color {a!r} out of range [1, {c}]")

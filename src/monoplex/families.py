@@ -5,9 +5,11 @@ hypergraphs, weighted vertex-subset hypergraphs, two hand-crafted multiplex
 families with prescribed overlap structure, and a correlated two-layer
 Erdos-Renyi sampler.
 
-The copy, appendix and Erdos-Renyi builders make their layers from numpy
-edge arrays, which the layers keep (see core.UniformHypergraph); subgraph
-copies come from a level-wise join over the host's sorted adjacency lists.
+A graph is a 2-uniform layer (core.UniformHypergraph), host and pattern
+alike; the functions that read a graph refuse any other uniformity. The
+graph, copy, appendix and Erdos-Renyi builders make their layers from numpy
+edge arrays, which the layers keep; subgraph copies come from a level-wise
+join over the host's sorted adjacency lists.
 """
 
 from __future__ import annotations
@@ -26,38 +28,14 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _is_int,
+    _listed,
     _row_runs,
+    new_hypergraph,
     weighted_layer,
 )
 
 PATTERN_MAX_VERTICES = 8
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected simple graph; edges are sorted pairs in lexicographic order."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class PatternGraph:
-    """Small graph used as a subgraph pattern; at most 8 vertices."""
-
-    graph: SimpleGraph
-
-    @property
-    def num_vertices(self) -> int:
-        return self.graph.num_vertices
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.graph.edges
 
 
 @dataclass(frozen=True)
@@ -82,62 +60,56 @@ class CopiesResult:
     edge_labels: tuple[tuple[int, int], ...]
 
 
-def new_simple_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
-    if not isinstance(n, int) or n < 0:
+def new_simple_graph(n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
+    """The graph on [0, n) with the given edges: new_hypergraph(2, n, edges),
+    which also takes an edgeless graph on 0 or 1 vertices."""
+    if not _is_int(n) or n < 0:
         raise ValidationError(f"num_vertices: must be an integer >= 0, got {n!r}")
-    canon: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for i, raw in enumerate(edges):
-        if len(raw) != 2:
-            raise ValidationError(f"edges[{i}]: expected 2 endpoints, got {len(raw)}")
-        u, v = raw
-        for j, w in enumerate((u, v)):
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0 or w >= n:
-                raise ValidationError(f"edges[{i}][{j}]: vertex {w!r} out of range [0, {n})")
-        if u == v:
-            raise ValidationError(f"edges[{i}]: loop at vertex {u}")
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise ValidationError(f"edges[{i}]: duplicate edge {list(e)}")
-        seen.add(e)
-        canon.append(e)
-    canon.sort()
-    return SimpleGraph(n, tuple(canon))
+    if n < 2:
+        if _listed(edges, "edges"):
+            raise ValidationError(f"edges[0]: out of range [0, {n}), a graph on {n} < 2 vertices has no edges")
+        return UniformHypergraph(2, n, ())
+    return new_hypergraph(2, n, edges)
 
 
-def new_pattern_graph(n: int, edges: Iterable[Sequence[int]]) -> PatternGraph:
-    if n > PATTERN_MAX_VERTICES:
+def new_pattern_graph(n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
+    """A subgraph pattern: a graph on at most PATTERN_MAX_VERTICES vertices."""
+    if _is_int(n) and n > PATTERN_MAX_VERTICES:
         raise ValidationError(
-            f"pattern graph has {n} vertices, policy bound is {PATTERN_MAX_VERTICES}"
+            f"num_vertices: pattern graph has {n} vertices, policy bound is {PATTERN_MAX_VERTICES}"
         )
-    return PatternGraph(new_simple_graph(n, edges))
+    return new_simple_graph(n, edges)
 
 
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple(itertools.combinations(range(n), 2)))
+def complete_graph(n: int) -> UniformHypergraph:
+    return UniformHypergraph(2, n, _pairs(np.arange(n)))
 
 
-def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+def path_graph(n: int) -> UniformHypergraph:
+    return UniformHypergraph(2, n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
 
-def cycle_graph(n: int) -> SimpleGraph:
+def cycle_graph(n: int) -> UniformHypergraph:
     if n < 3:
         raise ValidationError(f"cycle needs >= 3 vertices, got {n}")
-    edges = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    return SimpleGraph(n, tuple(edges))
+    return UniformHypergraph(2, n, np.insert(path_graph(n).edge_array, 1, (0, n - 1), axis=0))
 
 
-def sample_er_graph(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
-    """G(n, p): each pair kept independently with probability p."""
+def sample_er_graph(n: int, p: float, rng: np.random.Generator) -> UniformHypergraph:
+    """G(n, p): each pair kept independently with probability p, one draw per
+    pair in lexicographic order."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p: must be in [0, 1], got {p}")
-    pairs = list(itertools.combinations(range(n), 2))
-    u = rng.random(len(pairs))
-    return SimpleGraph(n, tuple(e for e, ui in zip(pairs, u) if ui < p))
+    return UniformHypergraph(2, n, _pairs(np.arange(n))[rng.random(comb(n, 2)) < p])
 
 
-def _adjacency(G: SimpleGraph) -> list[set[int]]:
+def _check_graph(G: UniformHypergraph, where: str) -> None:
+    """G is read as a graph: a 2-uniform layer."""
+    if G.uniformity != 2:
+        raise ValidationError(f"{where}: a graph must be 2-uniform, got uniformity {G.uniformity}")
+
+
+def _adjacency(G: UniformHypergraph) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(G.num_vertices)]
     for u, v in G.edges:
         adj[u].add(v)
@@ -145,8 +117,9 @@ def _adjacency(G: SimpleGraph) -> list[set[int]]:
     return adj
 
 
-def clique_hypergraph(G: SimpleGraph, r: int) -> UniformHypergraph:
+def clique_hypergraph(G: UniformHypergraph, r: int) -> UniformHypergraph:
     """r-uniform hypergraph on V(G) whose edges are the r-cliques of G."""
+    _check_graph(G, "G")
     if r < 2:
         raise ValidationError(f"r: must be >= 2, got {r}")
     adj = _adjacency(G)
@@ -166,7 +139,10 @@ def clique_hypergraph(G: SimpleGraph, r: int) -> UniformHypergraph:
 
 def _pairs(vertices: np.ndarray) -> np.ndarray:
     """All 2-subsets of an increasing vertex array, in lexicographic order."""
-    i, j = np.triu_indices(len(vertices), 1)
+    m = len(vertices)
+    counts = np.arange(m - 1, -1, -1)  # the pairs whose first vertex is the i-th
+    i = np.repeat(np.arange(m), counts)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - np.arange(1, m + 1), counts)
     return np.column_stack((vertices[i], vertices[j]))
 
 
@@ -174,9 +150,10 @@ def _pairs(vertices: np.ndarray) -> np.ndarray:
 _JOIN_CELLS = 1 << 20
 
 
-def _copy_maps(G: SimpleGraph, F: PatternGraph) -> np.ndarray:
+def _copy_maps(G: UniformHypergraph, F: UniformHypergraph) -> np.ndarray:
     """All injective maps V(F) -> V(G) sending F-edges to G-edges, one per
-    row; column u holds the image of pattern vertex u.
+    row; column u holds the image of pattern vertex u. Both are graphs, and
+    F has at most PATTERN_MAX_VERTICES vertices, which bounds the join depth.
 
     Pattern vertices are mapped one level at a time. Each level extends every
     partial map by the neighbours of one mapped pattern neighbour's image
@@ -185,8 +162,14 @@ def _copy_maps(G: SimpleGraph, F: PatternGraph) -> np.ndarray:
     come in the order of the depth-first search that tries candidates in
     increasing order (its reference version is in tests/oracles.py).
     """
+    _check_graph(F, "pattern")
+    _check_graph(G, "host")
     k, n = F.num_vertices, G.num_vertices
-    adj_f = _adjacency(F.graph)
+    if k > PATTERN_MAX_VERTICES:
+        raise ValidationError(
+            f"pattern graph has {k} vertices, policy bound is {PATTERN_MAX_VERTICES}"
+        )
+    adj_f = _adjacency(F)
     # Map high-degree pattern vertices first, preferring those with already
     # mapped neighbors, so adjacency constraints prune early.
     order: list[int] = []
@@ -199,7 +182,7 @@ def _copy_maps(G: SimpleGraph, F: PatternGraph) -> np.ndarray:
         order.append(best)
         remaining.remove(best)
     # G as sorted arcs: the neighbours of v are nbrs[start[v]:start[v + 1]].
-    arcs = np.array(G.edges, dtype=np.int64).reshape(-1, 2)
+    arcs = G.edge_array.astype(np.int64)
     arcs = np.concatenate((arcs, arcs[:, ::-1]))
     arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
     nbrs, arc_keys = arcs[:, 1], arcs[:, 0] * n + arcs[:, 1]
@@ -233,21 +216,21 @@ def _copy_maps(G: SimpleGraph, F: PatternGraph) -> np.ndarray:
     return maps[:, np.argsort(order)]
 
 
-def copies_hypergraph(G: SimpleGraph, F: PatternGraph) -> CopiesResult:
+def copies_hypergraph(G: UniformHypergraph, F: UniformHypergraph) -> CopiesResult:
     """Hypergraph on the edge set of G whose hyperedges are the edge sets of
     copies of F in G, deduplicated as sets (uniformity |E(F)|).
 
     Vertex i of the result stands for edge_labels[i] in G.
     """
-    if F.graph.num_edges < 1:
+    if F.num_edges < 1:
         raise ValidationError("pattern must have at least one edge")
     maps, n = _copy_maps(G, F), G.num_vertices
-    g_edges, f_edges = (np.array(X.edges, dtype=np.int64).reshape(-1, 2) for X in (G, F.graph))
+    g_edges, f_edges = (X.edge_array.astype(np.int64) for X in (G, F))
     ends = maps[:, f_edges[:, 0]], maps[:, f_edges[:, 1]]
     edge_ids = np.searchsorted(g_edges @ (n, 1), np.minimum(*ends) * n + np.maximum(*ends))
     copies = np.sort(edge_ids, axis=1)
     order, starts = _row_runs(copies)
-    return CopiesResult(UniformHypergraph(F.graph.num_edges, G.num_edges, copies[order[starts]]), G.edges)
+    return CopiesResult(UniformHypergraph(F.num_edges, G.num_edges, copies[order[starts]]), G.edges)
 
 
 def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
@@ -282,17 +265,13 @@ def ap_count_closed_form(n: int, r: int) -> int:
     return dmax * n - (r - 1) * dmax * (dmax + 1) // 2
 
 
-def automorphism_count(F: PatternGraph) -> int:
+def automorphism_count(F: UniformHypergraph) -> int:
     """Order of the automorphism group: the copy maps of F into itself."""
-    if F.num_vertices > PATTERN_MAX_VERTICES:
-        raise ValidationError(
-            f"pattern graph has {F.num_vertices} vertices, policy bound is {PATTERN_MAX_VERTICES}"
-        )
-    return len(_copy_maps(F.graph, F))
+    return len(_copy_maps(F, F))
 
 
 def vertex_copy_weighted_hypergraph(
-    G: SimpleGraph, F: PatternGraph, weight_bound: int | None = None
+    G: UniformHypergraph, F: UniformHypergraph, weight_bound: int | None = None
 ) -> WeightedUniformHypergraph:
     """|V(F)|-uniform weighted hypergraph on V(G): hyperedges are the
     |V(F)|-subsets s spanning at least one copy of F, with weight the number
@@ -368,13 +347,14 @@ def new_correlated_er_params(n: int, r: int, p: float, rho: float) -> Correlated
     return CorrelatedErParams(n, r, p, rho, p12)
 
 
-def _unrank_pairs(positions: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """Map lexicographic pair indices to (i, j) with i < j."""
+def _unrank_pairs(positions: np.ndarray, n: int) -> np.ndarray:
+    """The pairs at the given lexicographic indices among the 2-subsets of
+    [0, n), as rows (i, j) with i < j of a (k, 2) int64 array."""
     i_range = np.arange(n, dtype=np.int64)
     row_start = i_range * (n - 1) - i_range * (i_range - 1) // 2
     i = np.searchsorted(row_start, positions, side="right") - 1
     j = positions - row_start[i] + i + 1
-    return list(zip(i.tolist(), j.tolist()))
+    return np.column_stack((i, j))
 
 
 def _sparse_positions(M: int, q: float, rng: np.random.Generator) -> np.ndarray:
@@ -419,7 +399,7 @@ def sample_correlated_er(
         q_any = 2.0 * p - p12
         positions = _sparse_positions(M, q_any, rng)
         v = rng.random(len(positions))
-        pairs = np.array(_unrank_pairs(positions, n), dtype=np.int64).reshape(-1, 2)
+        pairs = _unrank_pairs(positions, n)
         e1 = pairs[v < p / q_any]
         e2 = pairs[(v < p12 / q_any) | (v >= p / q_any)]
     else:

@@ -668,6 +668,18 @@ class TestSpecValidation:
                 "params.patterns[0].num_vertices",
             ),
             (
+                {"scenario": "pattern-copies", "params": {"patterns": [PATH3, dict(PATH3, edges=[[0, 1], [1, 1]])]}},
+                "params.patterns[1].edges[1]: repeated vertex",
+            ),
+            (
+                {"scenario": "pattern-copies", "params": {"patterns": [dict(PATH3, edges=[[0, 1], [1, 3]])]}},
+                "params.patterns[0].edges[1][1]: vertex 3 out of range [0, 3)",
+            ),
+            (
+                {"scenario": "pattern-copies", "params": {"patterns": [{"num_vertices": 9, "edges": [[0, 1]]}]}},
+                "params.patterns[0].num_vertices: pattern graph has 9 vertices, policy bound is 8",
+            ),
+            (
                 {
                     "targets": [
                         {
@@ -703,6 +715,9 @@ class TestSpecValidation:
             "seed-true",
             "subset-layer-true",
             "pattern-num_vertices-true",
+            "pattern-repeated-vertex",
+            "pattern-vertex-out-of-range",
+            "pattern-nine-vertices",
             "shared-subset-twice",
             "compound-weight-twice",
         ],

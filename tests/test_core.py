@@ -91,6 +91,13 @@ class TestConstruction:
         M = new_multiplex([H1, new_hypergraph(3, 4, [[1, 2, 3]])])
         assert M.num_layers == 2 and M.num_vertices == 4
 
+    def test_multiplex_takes_only_layers(self):
+        WH = new_weighted_hypergraph(2, 4, [[0, 1]], [3])
+        with pytest.raises(ValidationError, match=r"^layers\[0\]: expected a UniformHypergraph, got int$"):
+            new_multiplex([5])
+        with pytest.raises(ValidationError, match=r"^layers\[1\]: .* got WeightedUniformHypergraph$"):
+            new_multiplex([WH.base, WH])
+
     def test_weighted_alignment_follows_canonical_order(self):
         WH = new_weighted_hypergraph(2, 4, [[3, 2], [1, 0]], [7, 5])
         assert WH.base.edges == ((0, 1), (2, 3))

@@ -13,6 +13,7 @@ from monoplex.core import (
     ValidationError,
     layer_intersection,
     m_t,
+    new_hypergraph,
 )
 from monoplex import cli
 from monoplex.core import UniformHypergraph
@@ -49,7 +50,7 @@ class TestSimpleGraph:
         assert G.edges == ((0, 2), (1, 3))
 
     def test_rejects_loop_and_duplicate(self):
-        with pytest.raises(ValidationError, match="loop"):
+        with pytest.raises(ValidationError, match="repeated vertex"):
             new_simple_graph(3, [[1, 1]])
         with pytest.raises(ValidationError, match="duplicate"):
             new_simple_graph(3, [[0, 1], [1, 0]])
@@ -62,6 +63,59 @@ class TestSimpleGraph:
         assert complete_graph(4).num_edges == 6
         assert path_graph(5).edges == ((0, 1), (1, 2), (2, 3), (3, 4))
         assert cycle_graph(4).num_edges == 4
+
+    @pytest.mark.parametrize(
+        "build, n, edges",
+        [
+            (lambda: complete_graph(5), 5, list(itertools.combinations(range(5), 2))),
+            (lambda: complete_graph(2), 2, [[0, 1]]),
+            (lambda: path_graph(4), 4, [[0, 1], [1, 2], [2, 3]]),
+            (lambda: path_graph(2), 2, [[0, 1]]),
+            (lambda: cycle_graph(3), 3, [[0, 1], [1, 2], [0, 2]]),
+            (lambda: cycle_graph(6), 6, [[5, 0], *([i, i + 1] for i in range(5))]),
+            (lambda: new_simple_graph(6, [[5, 2], [0, 4], [1, 0]]), 6, [[0, 1], [0, 4], [2, 5]]),
+            (lambda: new_pattern_graph(4, [[3, 1], [2, 0]]), 4, [[0, 2], [1, 3]]),
+            (lambda: new_pattern_graph(8, []), 8, []),
+        ],
+        ids=["complete-5", "complete-2", "path-4", "path-2", "cycle-3", "cycle-6", "simple", "pattern", "pattern-edgeless"],
+    )
+    def test_builders_return_graph_layers(self, build, n, edges):
+        # every graph is the 2-uniform layer new_hypergraph makes of its edges
+        G = build()
+        assert type(G) is UniformHypergraph and G.edge_array.dtype == np.int32
+        assert G == new_hypergraph(2, n, edges)
+
+    def test_er_graph_keeps_its_stream(self):
+        # one draw per pair, pairs in lexicographic order
+        u = np.random.default_rng(7).random(comb(12, 2))
+        pairs = itertools.combinations(range(12), 2)
+        expected = tuple(e for e, ui in zip(pairs, u) if ui < 0.4)
+        assert sample_er_graph(12, 0.4, np.random.default_rng(7)).edges == expected
+
+    def test_fewer_than_two_vertices(self):
+        assert new_simple_graph(0, []) == UniformHypergraph(2, 0, ())
+        assert new_simple_graph(1, []) == UniformHypergraph(2, 1, ())
+        with pytest.raises(ValidationError, match=r"edges\[0\]: out of range \[0, 1\)"):
+            new_simple_graph(1, [[0, 1]])
+        with pytest.raises(ValidationError, match="num_vertices: must be an integer >= 0"):
+            new_simple_graph(-1, [])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda H: clique_hypergraph(H, 3),
+            lambda H: copies_hypergraph(H, PATH3),
+            lambda H: copies_hypergraph(complete_graph(4), H),
+            lambda H: vertex_copy_weighted_hypergraph(H, PATH3),
+            lambda H: vertex_copy_weighted_hypergraph(complete_graph(4), H),
+            lambda H: automorphism_count(H),
+        ],
+        ids=["clique-host", "copies-host", "copies-pattern", "weighted-host", "weighted-pattern", "automorphisms"],
+    )
+    def test_graph_entry_points_refuse_other_uniformities(self, call):
+        H = new_hypergraph(3, 4, [[0, 1, 2], [1, 2, 3]])
+        with pytest.raises(ValidationError, match="2-uniform, got uniformity 3"):
+            call(H)
 
 
 class TestCliqueHypergraph:
@@ -127,6 +181,11 @@ class TestCopiesHypergraph:
     def test_requires_pattern_edge(self):
         with pytest.raises(ValidationError, match="at least one edge"):
             copies_hypergraph(complete_graph(3), new_pattern_graph(2, []))
+
+    def test_pattern_policy_bound(self):
+        # the bound holds for a pattern built without new_pattern_graph
+        with pytest.raises(ValidationError, match="9 vertices, policy bound is 8"):
+            copies_hypergraph(complete_graph(10), complete_graph(9))
 
 
 class TestApHypergraph:
@@ -316,7 +375,9 @@ class TestCorrelatedEr:
     def test_unrank_matches_lex(self):
         n = 9
         idx = np.arange(comb(n, 2), dtype=np.int64)
-        assert _unrank_pairs(idx, n) == list(itertools.combinations(range(n), 2))
+        pairs = _unrank_pairs(idx, n)
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [list(e) for e in itertools.combinations(range(n), 2)]
 
     def test_sparse_matches_dense_stats(self):
         params = new_correlated_er_params(60, 2, 0.25, 0.08)

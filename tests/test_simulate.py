@@ -455,6 +455,13 @@ class TestSimulateT:
         emp = simulate_T(M, cfg)
         assert float(emp.law.pmf[(1,)]) == pytest.approx(0.25, abs=0.006)
 
+    def test_graph_builder_layer(self):
+        # a graph builder's output is a layer like any other
+        cfg = new_simulation_config(40, 4_000, 5)
+        built = simulate_T(new_multiplex([complete_graph(20)]), cfg)
+        K20 = new_hypergraph(2, 20, list(itertools.combinations(range(20), 2)))
+        assert built.law == simulate_T(new_multiplex([K20]), cfg).law
+
     def test_empty_layer_point_mass(self):
         M = new_multiplex([new_hypergraph(3, 4, [])])
         emp = simulate_T(M, new_simulation_config(3, 500, 0))
@@ -792,8 +799,20 @@ class TestConfigValidation:
             (lambda: exact_law(new_multiplex([H3]), 2.0), ValidationError, "c"),
             (lambda: exact_law(new_multiplex([H3]), True), ValidationError, "c"),
             (lambda: sample_coloring(5, 2**31, np.random.default_rng(0)), ResourceBoundError, "c"),
+            (lambda: new_coloring([1, 1, 1], True), ValidationError, "c"),
+            (lambda: new_coloring([1, 1, 1], 2.5), ValidationError, "c"),
+            (lambda: new_coloring([1, 1, 1], "3"), ValidationError, "c"),
         ],
-        ids=["layer-true", "moments-c-true", "exact-c-float", "exact-c-true", "draw-c-past-int32"],
+        ids=[
+            "layer-true",
+            "moments-c-true",
+            "exact-c-float",
+            "exact-c-true",
+            "draw-c-past-int32",
+            "coloring-c-true",
+            "coloring-c-float",
+            "coloring-c-string",
+        ],
     )
     def test_library_integers(self, call, error, field):
         # a bool or a float is not a layer number or a color count, and a
