@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import copy
 import itertools
-import json
 import sys
 import time
 from collections import Counter
@@ -79,6 +78,7 @@ from monoplex.moments import (
     mean_W,
 )
 from monoplex.serialize import (
+    dumps,
     hypergraph_to_obj,
     load_structure,
     multiplex_to_obj,
@@ -634,7 +634,10 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 def write_run(spec: ExperimentSpec, rows: list[dict], out_dir: str | Path, fmt: str) -> dict:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{out_dir}: cannot make the output directory ({exc.strerror})") from exc
     if fmt == "csv":
         table = out / "results.csv"
         table.write_text(rows_to_csv(rows))
@@ -825,7 +828,7 @@ def _emit(obj, out) -> int:
         write_json(out, obj)
         print(f"wrote {out}")
     else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(dumps(obj))
     return 0
 
 

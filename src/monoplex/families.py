@@ -7,9 +7,9 @@ Erdos-Renyi sampler.
 
 A graph is a 2-uniform layer (core.UniformHypergraph), host and pattern
 alike; the functions that read a graph refuse any other uniformity. The
-graph, copy, appendix and Erdos-Renyi builders make their layers from numpy
-edge arrays, which the layers keep; subgraph copies come from a level-wise
-join over the host's sorted adjacency lists.
+graph, copy, progression, appendix and Erdos-Renyi builders make their
+layers from numpy edge arrays, which the layers keep; subgraph copies come
+from a level-wise join over the host's sorted adjacency lists.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from monoplex.core import (
 )
 
 PATTERN_MAX_VERTICES = 8
+# Memory bound of ap_hypergraph: (first, second) index candidates per block.
+AP_PAIR_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -245,18 +247,31 @@ def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
         raise ValidationError("A: elements must be integers >= 1")
     if any(b <= a for a, b in zip(elems, elems[1:])):
         raise ValidationError("A: must be strictly increasing")
-    index = {a: i for i, a in enumerate(elems)}
     n = len(elems)
-    edges: list[tuple[int, ...]] = []
-    if n >= r:
-        hi = elems[-1]
-        members = set(elems)
-        for a in elems:
-            for d in range(1, (hi - a) // (r - 1) + 1):
-                if all(a + i * d in members for i in range(1, r)):
-                    edges.append(tuple(index[a + i * d] for i in range(r)))
-    edges.sort()
-    return UniformHypergraph(r, n, tuple(edges))
+    if n and elems[-1] >= 1 << 63:
+        raise ValidationError("A: elements must be < 2^63")
+    a = np.array(elems, dtype=np.int64)
+    # The second index j of a progression starting at i: a[i] < a[j] and
+    # a[i] + (r-1)(a[j] - a[i]) <= max A, so j runs from i+1 up to stop[i].
+    stop = np.searchsorted(a, a + (a[-1:] - a) // (r - 1), side="right")
+    # Blocks of first indices, each with at most AP_PAIR_BUDGET (i, j)
+    # candidates, listed by i, then j; a candidate fixes every later term,
+    # so the rows come out in lexicographic order.
+    step = max(1, AP_PAIR_BUDGET // max(n, 1))
+    blocks = [np.empty((0, r), dtype=np.int64)]
+    for lo in range(0, n - r + 1, step):
+        first = np.arange(lo, min(lo + step, n - r + 1))
+        count = stop[first] - first - 1
+        i = np.repeat(first, count)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+        terms, base, d = [i, j], a[i], a[j] - a[i]
+        for t in range(2, r):
+            term = base + t * d
+            k = np.searchsorted(a, term)
+            hit = a[k] == term
+            terms, base, d = [x[hit] for x in terms] + [k[hit]], base[hit], d[hit]
+        blocks.append(np.column_stack(terms))
+    return UniformHypergraph(r, n, np.concatenate(blocks))
 
 
 def ap_count_closed_form(n: int, r: int) -> int:

@@ -1,13 +1,19 @@
 """JSON encodings for hypergraphs, multiplexes and weighted hypergraphs.
 
-Every object carries a "kind" tag so files are self-describing.
+Every object carries a "kind" tag so files are self-describing. Files and
+reports are written by dumps, which gives the bytes of
+json.dumps(obj, indent=2, sort_keys=True) without json's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from monoplex.core import (
     Multiplex,
@@ -104,17 +110,109 @@ def structure_from_obj(obj: Any, where: str = "input"):
     return reader(obj, where)
 
 
+# json's C encoder: with an indent, json.dumps encodes in Python.
+_c_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def dumps(obj: Any) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    Dicts with str keys, lists and tuples are walked here, scalar leaves are
+    written as json's C encoder writes them, and a list of ints or of
+    equal-length rows of ints (an edge list) is formatted by one
+    %-template. Any other value is handed whole to json.dumps, so its bytes
+    and its errors are json's own.
+    """
+    chunks: list[str] = []
+    try:
+        _encode(obj, "\n", chunks.append)
+    except RecursionError:  # a circular or deeply nested value: json's own result or error
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return "".join(chunks)
+
+
+def _encode(obj: Any, nl: str, put: Callable[[str], None]) -> None:
+    """Pass obj's text to put in pieces; nl is its line break and indent."""
+    inner = nl + "  "
+    if obj is None or isinstance(obj, (str, int, float)):
+        put(_leaf(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        rows = _int_rows(obj, nl)
+        if rows is not None:
+            put(rows)
+            return
+        sep = "["
+        for value in obj:
+            put(sep + inner)
+            _encode(value, inner, put)
+            sep = ","
+        put(nl + "]")
+    elif isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            put(sep + inner + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, put)
+            sep = ","
+        put(nl + "}")
+    else:
+        put(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
+
+
+def _leaf(obj: Any) -> str:
+    """A scalar as json writes it: a plain str, int or finite float directly,
+    anything else (None, bools, nan, infinities, subclasses) through json's C
+    encoder. Each way gives the bytes of json's own encoder."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    return _c_encode(obj)
+
+
+def _int_rows(items: list | tuple, nl: str) -> str | None:
+    """items encoded by one %-template when they are exact ints (bool is
+    not one: json writes it as true/false) or equal-length, non-empty rows
+    of them; None for any other list."""
+    inner = nl + "  "
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        cell, values = "%d", tuple(items)
+    else:
+        lengths = set(map(len, items)) if kinds <= {list, tuple} else set()
+        if len(lengths) != 1:
+            return None
+        values = tuple(itertools.chain.from_iterable(items))
+        if set(map(type, values)) != {int}:
+            return None
+        pad = inner + "  "
+        cell = "[" + pad + ("," + pad).join(["%d"] * lengths.pop()) + inner + "]"
+    return f"[{inner}{(',' + inner).join([cell] * len(items))}{nl}]" % values
+
+
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write dumps(obj) and a newline to path; a path that cannot be written
+    (say, in a missing directory) raises ValidationError naming it."""
+    text = dumps(obj) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror})") from exc
 
 
 def read_json(path: str | Path) -> Any:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"{path}: no such file")
+    """The JSON value in the file at path; json.loads detects UTF-8, -16 or -32."""
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from exc
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -1,8 +1,8 @@
 """Reference implementations that tests compare the fast paths against:
 the per-edge validator and direct O(m^2) pair scans for the edge loader and
-overlap counters in monoplex.core, the depth-first copy-map search for
-monoplex.families, and dict convolutions for the Poisson laws in
-monoplex.laws."""
+overlap counters in monoplex.core, the depth-first copy-map search and the
+start-and-step progression loop for monoplex.families, and dict
+convolutions for the Poisson laws in monoplex.laws."""
 
 import itertools
 from collections import Counter
@@ -212,3 +212,22 @@ def compound_weighted_law_dict(rates, tail_tol):
                 nxt[x + i * k] = nxt.get(x + i * k, 0.0) + px * pk
         dist = nxt
     return {(x,): p for x, p in dist.items() if p != 0}, max(1.0 - fsum(dist.values()), 0.0)
+
+
+def ap_hypergraph_reference(A, r) -> UniformHypergraph:
+    """The r-term progressions of A by a loop over every start and step;
+    test oracle for monoplex.families.ap_hypergraph. A must be strictly
+    increasing integers >= 1 and r >= 3."""
+    elems = list(A)
+    index = {a: i for i, a in enumerate(elems)}
+    n = len(elems)
+    edges: list[tuple[int, ...]] = []
+    if n >= r:
+        hi = elems[-1]
+        members = set(elems)
+        for a in elems:
+            for d in range(1, (hi - a) // (r - 1) + 1):
+                if all(a + i * d in members for i in range(1, r)):
+                    edges.append(tuple(index[a + i * d] for i in range(r)))
+    edges.sort()
+    return UniformHypergraph(r, n, tuple(edges))

@@ -127,6 +127,12 @@ class TestConstruct:
         assert f"n: must be >= r = 3, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "ap.json"
+        assert run_cli("construct", "ap", "--n", 10, "--r", 3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot write" in err and "Traceback" not in err
+
     def test_corr_er_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "er.json"
         assert run_cli("construct", "corr-er", "--n", 20, "--r", 2, "--seed", -1, "--out", out) == 2
@@ -199,6 +205,35 @@ class TestMoments:
 
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("moments", "/nonexistent.json", "--c", 2) == 2
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("moments", tmp_path, "--c", 3) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path}: cannot read" in err and "Traceback" not in err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "h.json"
+        f.write_bytes(b'{"kind": "uniform_hypergraph\xff"}')
+        assert run_cli("moments", f, "--c", 3) == 2
+        err = capsys.readouterr().err
+        assert f"{f}: invalid JSON" in err and "Traceback" not in err
+
+    def test_utf16_file(self, tmp_path, capsys):
+        f = tmp_path / "h.json"
+        obj = {"kind": "uniform_hypergraph", "uniformity": 3, "num_vertices": 3, "edges": [[0, 1, 2]]}
+        f.write_text(json.dumps(obj), encoding="utf-16")
+        assert run_cli("moments", f, "--c", 2) == 0
+        assert json.loads(capsys.readouterr().out)["mean"] == 0.25
+
+    @pytest.mark.parametrize("rational", [(), ("--rational",)], ids=["float", "rational"])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, rational):
+        f, out = tmp_path / "m.json", tmp_path / "report.json"
+        assert run_cli("construct", "appendix-b", "--n", 12, "--lam", 0.2, "--out", f) == 0
+        capsys.readouterr()
+        assert run_cli("moments", f, "--c", 7, *rational) == 0
+        printed = capsys.readouterr().out
+        assert run_cli("moments", f, "--c", 7, *rational, "--out", out) == 0
+        assert out.read_text() == printed
 
     def test_simple_graph_file_exits_2(self, tmp_path, capsys):
         f = tmp_path / "g.json"
@@ -285,6 +320,12 @@ class TestPreset:
         assert spec.scenario == "ap"
         assert spec.c_rule["kind"] == "power"
 
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "spec.json"
+        assert run_cli("preset", "ap", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot write" in err and "Traceback" not in err
+
 
 def make_spec(**kw):
     base = dict(
@@ -313,6 +354,14 @@ class TestCompare:
         p0 = exp(-0.25)
         hand = 0.5 * (abs(0.75 - p0) + abs(0.25 - 0.25 * p0) + (1 - p0 - 0.25 * p0))
         assert abs(tv - hand) <= 1e-9
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, spec_to_obj(make_spec()))
+        out = cfg / "run"
+        assert run_cli("compare", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot make the output directory" in err and "Traceback" not in err
 
     def test_rerun_bytes_identical(self, tmp_path):
         spec = preset_spec("birthday")

@@ -3,6 +3,7 @@
 import itertools
 import json
 from math import comb, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from monoplex.core import (
     m_t,
     new_hypergraph,
 )
-from monoplex import cli
+from monoplex import cli, families
 from monoplex.core import UniformHypergraph
 from monoplex.families import (
     _copy_maps,
@@ -38,7 +39,12 @@ from monoplex.families import (
     _unrank_pairs,
 )
 from monoplex.serialize import hypergraph_from_obj, hypergraph_to_obj
-from oracles import copies_edges_recursive, copy_maps_recursive, vertex_copy_weights_recursive
+from oracles import (
+    ap_hypergraph_reference,
+    copies_edges_recursive,
+    copy_maps_recursive,
+    vertex_copy_weights_recursive,
+)
 
 TRIANGLE = new_pattern_graph(3, [[0, 1], [1, 2], [0, 2]])
 PATH3 = new_pattern_graph(3, [[0, 1], [1, 2]])
@@ -211,6 +217,25 @@ class TestApHypergraph:
     def test_too_small(self):
         assert ap_hypergraph([1, 5], 3).num_edges == 0
 
+    # A budget of 7 candidate pairs splits every set past 7 elements into blocks.
+    @pytest.mark.parametrize("budget", [families.AP_PAIR_BUDGET, 7], ids=["default-budget", "budget-7"])
+    @pytest.mark.parametrize("r", (3, 4, 5))
+    def test_ranges_match_reference(self, r, budget, monkeypatch):
+        monkeypatch.setattr(families, "AP_PAIR_BUDGET", budget)
+        for n in range(61):
+            assert ap_hypergraph(range(1, n + 1), r) == ap_hypergraph_reference(range(1, n + 1), r)
+
+    @given(
+        st.sets(st.integers(1, 400), max_size=40),
+        st.sampled_from([3, 4, 5]),
+        st.sampled_from([families.AP_PAIR_BUDGET, 7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_sets_match_reference(self, elems, r, budget):
+        A = sorted(elems)
+        with mock.patch.object(families, "AP_PAIR_BUDGET", budget):
+            assert ap_hypergraph(A, r) == ap_hypergraph_reference(A, r)
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="increasing"):
             ap_hypergraph([3, 1, 2], 3)
@@ -218,6 +243,8 @@ class TestApHypergraph:
             ap_hypergraph([1, 2, 3], 2)
         with pytest.raises(ValidationError, match=">= 1"):
             ap_hypergraph([0, 1, 2], 3)
+        with pytest.raises(ValidationError, match="< 2\\^63"):
+            ap_hypergraph([1, 2, 1 << 63], 3)
 
 
 class TestAutomorphisms:
