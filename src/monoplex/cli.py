@@ -560,6 +560,8 @@ def resolve_colors(c_rule: dict, built: BuiltScenario) -> int:
     # mean: the smallest c with c^(r-1) >= ref_count / lam, so the leading
     # count over c^(r-1) lands near lam; int ** int vs float compares exactly
     base = built.ref_count / c_rule["lam"]
+    if not isfinite(base):
+        raise ValidationError(f"c_rule: ref_count / lam is past float range at n = {built.n}")
     k = built.uniformity - 1
     c = max(1, int(base ** (1.0 / k)))
     while c > 1 and (c - 1) ** k >= base:
@@ -632,12 +634,8 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_run(spec: ExperimentSpec, rows: list[dict], out_dir: str | Path, fmt: str) -> dict:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"{out_dir}: cannot make the output directory ({exc.strerror})") from exc
+def write_run(spec: ExperimentSpec, rows: list[dict], out: Path, fmt: str) -> dict:
+    """Write the table and manifest into the existing directory out."""
     if fmt == "csv":
         table = out / "results.csv"
         table.write_text(rows_to_csv(rows))
@@ -854,8 +852,13 @@ def cmd_compare(args) -> int:
     }
     if overrides:
         spec = spec_from_obj({**spec_to_obj(spec), **overrides})
+    out = Path(args.out)
+    try:  # before any law runs, so an unusable --out costs nothing
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{args.out}: cannot make the output directory ({exc.strerror})") from exc
     rows = run_compare(spec)
-    outputs = write_run(spec, rows, args.out, args.format)
+    outputs = write_run(spec, rows, out, args.format)
     for row in rows:
         print(
             f"n={row['n']} c={row['c']} {row['label']}: tv={row['tv']:.6g} "

@@ -400,7 +400,8 @@ def sample_correlated_er(
     Up to max_subsets subsets are enumerated in full. Past it, pairs (r = 2)
     are drawn sparsely, skipping between present pairs with geometric jumps
     and assigning cells only to those, which yields the same law; larger
-    r-subset counts are refused.
+    r-subset counts, and pair draws expected to hold more than max_subsets
+    pairs (C(n, 2) * (2p - p12)), are refused before any draw.
     """
     n, r, p, p12 = params.n, params.r, params.p, params.p12
     M = comb(n, r)
@@ -412,6 +413,10 @@ def sample_correlated_er(
         e2 = subsets[(u < p12) | ((u >= p) & (u < 2.0 * p - p12))]
     elif r == 2:
         q_any = 2.0 * p - p12
+        if M * q_any > max_subsets:
+            raise ResourceBoundError(
+                f"C({n},2) * (2p - p12) = {M * q_any:.4g} expected pairs exceed bound {max_subsets}"
+            )
         positions = _sparse_positions(M, q_any, rng)
         v = rng.random(len(positions))
         pairs = _unrank_pairs(positions, n)

@@ -2,18 +2,16 @@
 
 Every object carries a "kind" tag so files are self-describing. Files and
 reports are written by dumps, which gives the bytes of
-json.dumps(obj, indent=2, sort_keys=True) without json's pure-Python
-indenting encoder.
+json.dumps(obj, indent=2, sort_keys=True): json writes them all except the
+int lists and edge lists, which one %-template writes.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from monoplex.core import (
     Multiplex,
@@ -110,66 +108,40 @@ def structure_from_obj(obj: Any, where: str = "input"):
     return reader(obj, where)
 
 
-# json's C encoder: with an indent, json.dumps encodes in Python.
-_c_encode = json.JSONEncoder(sort_keys=True).encode
-
-
 def dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
 
-    Dicts with str keys, lists and tuples are walked here, scalar leaves are
-    written as json's C encoder writes them, and a list of ints or of
-    equal-length rows of ints (an edge list) is formatted by one
-    %-template. Any other value is handed whole to json.dumps, so its bytes
-    and its errors are json's own.
+    json writes every byte but those of the lists that _int_rows accepts
+    (ints, or equal-length rows of ints such as edge lists), which json's
+    indenting encoder is slow on: each is hidden behind a placeholder
+    string, formatted by one %-template and spliced back in.
     """
-    chunks: list[str] = []
-    try:
-        _encode(obj, "\n", chunks.append)
+    blocks: list[str] = []
+
+    def hide(x: Any, nl: str) -> Any:
+        """A copy of x with each accepted list replaced by a placeholder
+        string; nl is x's line break and indent."""
+        if isinstance(x, dict):
+            return {key: hide(value, nl + "  ") for key, value in x.items()}
+        if not isinstance(x, (list, tuple)):
+            return x
+        rows = _int_rows(x, nl)
+        if rows is None:
+            return [hide(value, nl + "  ") for value in x]
+        blocks.append(rows)
+        return f"\0rows{len(blocks) - 1}\0"
+
+    try:  # json writes each placeholder as "\u0000rows<i>\u0000"
+        parts = json.dumps(hide(obj, "\n"), indent=2, sort_keys=True).split('"\\u0000rows')
     except RecursionError:  # a circular or deeply nested value: json's own result or error
         return json.dumps(obj, indent=2, sort_keys=True)
-    return "".join(chunks)
-
-
-def _encode(obj: Any, nl: str, put: Callable[[str], None]) -> None:
-    """Pass obj's text to put in pieces; nl is its line break and indent."""
-    inner = nl + "  "
-    if obj is None or isinstance(obj, (str, int, float)):
-        put(_leaf(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        rows = _int_rows(obj, nl)
-        if rows is not None:
-            put(rows)
-            return
-        sep = "["
-        for value in obj:
-            put(sep + inner)
-            _encode(value, inner, put)
-            sep = ","
-        put(nl + "]")
-    elif isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        sep = "{"
-        for key, value in sorted(obj.items()):
-            put(sep + inner + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, put)
-            sep = ","
-        put(nl + "}")
-    else:
-        put(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
-
-
-def _leaf(obj: Any) -> str:
-    """A scalar as json writes it: a plain str, int or finite float directly,
-    anything else (None, bools, nan, infinities, subclasses) through json's C
-    encoder. Each way gives the bytes of json's own encoder."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    return _c_encode(obj)
+    if len(parts) != len(blocks) + 1:  # a string in obj looks like a placeholder
+        return json.dumps(obj, indent=2, sort_keys=True)
+    pieces = [parts[0]]
+    for part in parts[1:]:  # sort_keys reorders the blocks: read each index
+        index, _, rest = part.partition('\\u0000"')
+        pieces += (blocks[int(index)], rest)
+    return "".join(pieces)
 
 
 def _int_rows(items: list | tuple, nl: str) -> str | None:

@@ -355,9 +355,14 @@ class TestCompare:
         hand = 0.5 * (abs(0.75 - p0) + abs(0.25 - 0.25 * p0) + (1 - p0 - 0.25 * p0))
         assert abs(tv - hand) <= 1e-9
 
-    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a law ran before --out was made")
+
+        monkeypatch.setattr(cli, "simulate_T", refuse)
         cfg = tmp_path / "spec.json"
-        write_json(cfg, spec_to_obj(make_spec()))
+        spec = make_spec(scenario="complete-graph", params={}, sizes=(6,), law="simulate")
+        write_json(cfg, spec_to_obj(spec))
         out = cfg / "run"
         assert run_cli("compare", "--config", cfg, "--out", out) == 2
         err = capsys.readouterr().err
@@ -517,8 +522,9 @@ class TestCompare:
             ({"kind": "fixed", "value": 2**31}, 3, "simulate", 3, f"c: {2**31}"),
             ({"kind": "fixed", "value": 10**30}, 3, "simulate", 3, f"c: {10**30}"),
             ({"kind": "fixed", "value": 2**31}, 3, "exact", 0, ""),
+            ({"kind": "mean", "lam": 1e-320}, 100, "simulate", 2, "c_rule: ref_count / lam is past float range"),
         ],
-        ids=["power-int-overflow", "power-float-overflow", "fixed-2^31", "fixed-10^30", "exact-2^31"],
+        ids=["power-int-overflow", "power-float-overflow", "fixed-2^31", "fixed-10^30", "exact-2^31", "mean-tiny-lam"],
     )
     def test_color_count_extremes(self, c_rule, size, law, code, message, tmp_path, capsys):
         cfg = tmp_path / "spec.json"

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoplex.core import (
+    ResourceBoundError,
     ValidationError,
     layer_intersection,
     m_t,
@@ -423,6 +424,12 @@ class TestCorrelatedEr:
         for observed, q in ((tot1, params.p), (tot2, params.p), (tot_both, params.p12)):
             se = sqrt(q * (1 - q) / total)
             assert abs(observed / total - q) < 4 * se
+
+    def test_sparse_draw_bound(self):
+        # rho = 0 gives p12 = p^2: C(60, 2) * (2p - p12) = 1770 * 0.99 pairs exceed 1000
+        params = new_correlated_er_params(60, 2, 0.9, 0.0)
+        with pytest.raises(ResourceBoundError, match="bound 1000"):
+            sample_correlated_er(params, np.random.default_rng(0), max_subsets=1000)
 
     def test_resource_bound(self):
         params = new_correlated_er_params(200, 3, 0.01, 0.0)

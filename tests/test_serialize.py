@@ -54,6 +54,21 @@ def test_matches_json(obj):
     assert dumps(obj) == reference(obj)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"0": [0, 0], "": [0]},
+        {"b": [[1, 2]], "a": [[3, 4, 5]]},
+        {"edges": [[0, 1]], "note": "\x00rows0\x00"},
+        {"edges": [[0, 1]], "\x00rows0\x00": "note"},
+        [3, -1, 2**70],
+    ],
+    ids=["sorted-blocks", "sorted-rows", "placeholder-value", "placeholder-key", "top-level-ints"],
+)
+def test_templated_lists_spliced_in_key_order(obj):
+    assert dumps(obj) == reference(obj)
+
+
 def test_non_str_keys_handed_to_json():
     obj = {"layers": [{"edges": [[0, 1]], "keys": {1: "x", 2.5: None, True: [[1, 2]]}}]}
     assert dumps(obj) == reference(obj)
