@@ -6,9 +6,9 @@ for a structure file), preset (emit a ready-made experiment spec), compare
 laws, and report total variation distances against target limit laws).
 
 SCENARIOS maps each scenario name to a builder that returns a BuiltScenario
-subclass; that class gives the instance's law (exact or simulated), its
-"derived" limit law and its comparison rows, so compare runs every scenario
-the same way. Presets are data: PRESETS maps a name to its spec arguments.
+subclass giving exact(c), the exact law; simulate(cfg), the Monte Carlo law;
+and derived(...), the "derived" limit law. BuiltScenario.law alone reads the
+spec's law kind. Presets are data: PRESETS maps a name to its spec arguments.
 
 Comparison output is a CSV table plus a JSON manifest. The CSV depends only
 on the spec (seed included), so reruns are byte-identical; wall-clock
@@ -24,11 +24,12 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import ceil, comb, inf, isfinite
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from monoplex.families import (
 )
 from monoplex.laws import (
     DEFAULT_TAIL_TOL,
+    MAX_LAW_CELLS,
     DiscreteLaw,
     binom2_poisson_law,
     compound_weighted_law,
@@ -126,14 +128,17 @@ def _number(value, where: str) -> float:
     return x
 
 
-def _target_rates(t: dict, where: str):
-    """The rates of a fixed target law: one rate (poisson, binom2-poisson),
-    subset -> rate (shared), or the rates of weights 1..K (compound). Value
-    ranges are checked where the law is built."""
-    if t["kind"] in ("poisson", "binom2-poisson"):
-        return _number(t.get("rate"), f"{where}.rate")
+def _fixed_target(t: dict, where: str) -> Callable[[int, float], DiscreteLaw]:
+    """The law builder (dimension, tail_tol) -> law of a fixed target: one
+    rate (poisson, binom2-poisson), subset -> rate (shared), or the rates of
+    weights 1..K (compound). Value ranges and layer numbers past the
+    dimension are checked where the law is built."""
+    kind = t.get("kind")
+    if kind in ("poisson", "binom2-poisson"):
+        rate = _number(t.get("rate"), f"{where}.rate")
+        return lambda d, tol: (poisson_law if kind == "poisson" else binom2_poisson_law)(rate, tol)
     rates = t.get("rates")
-    if t["kind"] == "shared":
+    if kind == "shared":
         if not isinstance(rates, list):
             raise ValidationError(f"{where}.rates: list of {{subset, rate}} objects required")
         by_subset = {}
@@ -141,20 +146,29 @@ def _target_rates(t: dict, where: str):
             subset = item.get("subset") if isinstance(item, dict) else None
             if not isinstance(subset, list) or not all(_is_int(i) for i in subset):
                 raise ValidationError(f"{where}.rates[{j}].subset: list of layer numbers required")
+            if not subset or min(subset) < 1:
+                raise ValidationError(f"{where}.rates[{j}].subset: layers >= 1 required, got {subset}")
             if frozenset(subset) in by_subset:
                 raise ValidationError(f"{where}.rates[{j}].subset: {sorted(set(subset))} is given twice")
             by_subset[frozenset(subset)] = _number(item.get("rate"), f"{where}.rates[{j}].rate")
-        return by_subset
+        return lambda d, tol: shared_component_law(new_shared_component_spec(d, by_subset), tol)
+    if kind != "compound":
+        raise ValidationError(f"{where}.kind: unknown target kind {kind!r}")
     if not isinstance(rates, dict) or not rates:
         raise ValidationError(f"{where}.rates: nonempty object of weight -> rate required")
     by_weight = {}
     for w, rate in rates.items():
-        if not str(w).isdecimal() or int(w) < 1:
+        digits = str(w).lstrip("0")
+        if not str(w).isdecimal() or not digits:
             raise ValidationError(f"{where}.rates: weight {w!r} must be an integer >= 1")
-        if int(w) in by_weight:
-            raise ValidationError(f"{where}.rates[{w}]: weight {int(w)} is given twice")
-        by_weight[int(w)] = _number(rate, f"{where}.rates[{w}]")
-    return [by_weight.get(w, 0.0) for w in range(1, max(by_weight) + 1)]
+        # a law holding weight K has more than K states; len() bounds the digits int() reads
+        if len(digits) > len(str(MAX_LAW_CELLS)) or int(digits) >= MAX_LAW_CELLS:
+            shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+            raise ResourceBoundError(f"{where}.rates: weight {shown} is not below the law bound {MAX_LAW_CELLS}")
+        if int(digits) in by_weight:
+            raise ValidationError(f"{where}.rates[{w}]: weight {int(digits)} is given twice")
+        by_weight[int(digits)] = _number(rate, f"{where}.rates[{w}]")
+    return lambda d, tol: compound_weighted_law([by_weight.get(w + 1, 0.0) for w in range(max(by_weight))], tol)
 
 
 def new_experiment_spec(
@@ -197,14 +211,19 @@ def new_experiment_spec(
         raise ValidationError(f"c_rule.kind: expected fixed/power/mean, got {kind!r}")
     if not isinstance(targets, (list, tuple)) or not targets:
         raise ValidationError("targets: a nonempty list of target laws required")
+    labels = set()
     for i, t in enumerate(targets):
-        kind = t.get("kind") if isinstance(t, dict) else None
-        if kind not in ("poisson", "binom2-poisson", "shared", "compound", "derived"):
-            raise ValidationError(f"targets[{i}].kind: unknown target kind {kind!r}")
-        if not isinstance(t.get("label"), str) or not t["label"]:
-            raise ValidationError(f"targets[{i}].label: required")
-        if kind != "derived":
-            _target_rates(t, f"targets[{i}]")
+        if not isinstance(t, dict):
+            raise ValidationError(f"targets[{i}]: expected an object, got {t!r}")
+        if t.get("kind") != "derived":
+            _fixed_target(t, f"targets[{i}]")
+        label = t.get("label")
+        # results.csv writes labels unquoted, one row per label
+        if not isinstance(label, str) or not label or any(ch in label for ch in ',"\r\n'):
+            raise ValidationError(f"targets[{i}].label: required, without comma, quote or newline; got {label!r}")
+        if label in labels:
+            raise ValidationError(f"targets[{i}].label: {label!r} is given twice")
+        labels.add(label)
     targets = tuple(dict(t) for t in targets)
     new_simulation_config(1, replicates, seed)
     if not isinstance(tail_tol, float) or not 0 < tail_tol < 1:
@@ -226,44 +245,11 @@ def spec_from_obj(obj: dict, where: str = "spec") -> ExperimentSpec:
     for key in ("scenario", "params", "c_rule", "sizes", "replicates", "seed", "targets"):
         if key not in obj:
             raise ValidationError(f"{where}: missing field {key!r}")
-    return new_experiment_spec(
-        obj["scenario"],
-        obj["params"],
-        obj["c_rule"],
-        obj["sizes"],
-        obj["replicates"],
-        obj["seed"],
-        obj.get("law", "simulate"),
-        obj["targets"],
-        obj.get("tail_tol", DEFAULT_TAIL_TOL),
-    )
+    return new_experiment_spec(**{f.name: obj[f.name] for f in fields(ExperimentSpec) if f.name in obj})
 
 
 # ---------------------------------------------------------------------------
 # scenario construction
-
-
-def _config(spec: ExperimentSpec, c: int, seed: int):
-    return new_simulation_config(c, spec.replicates, seed)
-
-
-# A law as the scenarios give it: the law, and the manifest's record of how
-# it was counted.
-Counted = tuple[DiscreteLaw, dict]
-
-
-def _enumerated(law: DiscreteLaw) -> Counted:
-    return law, {"law": "exact"}
-
-
-def _simulated(emp: EmpiricalLaw) -> Counted:
-    return emp.law, {"law": "simulate", "blocks": emp.blocks, "chunk": emp.chunk, "layers": list(emp.layers)}
-
-
-def _multiplex_law(M: Multiplex, spec: ExperimentSpec, c: int, seed: int) -> Counted:
-    if spec.law == "exact":
-        return _enumerated(exact_law(M, c))
-    return _simulated(simulate_T(M, _config(spec, c, seed)))
 
 
 @contextmanager
@@ -271,21 +257,37 @@ def _named(where: str):
     """Prefix a refused law's message with what the law is for."""
     try:
         yield
-    except ResourceBoundError as exc:
-        raise ResourceBoundError(f"{where}: {exc}") from exc
+    except (ValidationError, ResourceBoundError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class BuiltScenario:
     """A scenario's instance at one size. Subclasses hold its structure and
-    give law(spec, c, seed), the exact or simulated law of the counts with
-    its record of how it was counted, and derived(largest, c_largest, c,
-    tail_tol), the law of a "derived" target."""
+    give exact(c), its exact law at c colors; simulate(cfg), its EmpiricalLaw
+    under a SimulationConfig; and derived(largest, c_largest, c, tail_tol),
+    the law of a "derived" target. law() picks exact or simulate for the
+    spec, so a subclass adds a law path by overriding one method."""
 
     n: int
     dimension: int
     uniformity: int
     ref_count: float  # reference edge/weight total driving the mean color rule
+
+    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Callable[[], tuple[DiscreteLaw, dict]]:
+        """The only reader of spec.law. Returns the call that counts the law
+        at c, with the manifest's record of how it was counted. A simulated
+        law's config is made at once, so c, replicates and seed are checked
+        before the call runs."""
+        if spec.law == "exact":
+            return lambda: (self.exact(c), {"law": "exact"})
+        cfg = new_simulation_config(c, spec.replicates, seed)
+
+        def simulated() -> tuple[DiscreteLaw, dict]:
+            emp = self.simulate(cfg)
+            return emp.law, dict(law="simulate", blocks=emp.blocks, chunk=emp.chunk, layers=list(emp.layers))
+
+        return simulated
 
     def rows(self, spec: ExperimentSpec, c: int, largest: BuiltScenario, c_largest: int) -> list[dict]:
         """One comparison row per target of the spec. The targets are built
@@ -296,23 +298,15 @@ class BuiltScenario:
                 raise ValidationError(
                     f"targets[{label}]: dimension {target.dimension} != scenario dimension {self.dimension}"
                 )
-        emp, counting = self.law(spec, c, spec.seed)
+        emp, counting = self.law(spec, c, spec.seed)()
         return [_compare_row(self.n, c, label, emp, target, counting) for label, target in targets]
 
     def target(self, tspec: dict, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         """The limit law that one target of the spec names, at this size."""
-        kind = tspec["kind"]
         with _named(f"targets[{tspec['label']}]"):
-            if kind == "derived":
+            if tspec["kind"] == "derived":
                 return self.derived(largest, c_largest, c, tail_tol)
-            rates = _target_rates(tspec, f"targets[{tspec['label']}]")
-            if kind == "poisson":
-                return poisson_law(rates, tail_tol)
-            if kind == "binom2-poisson":
-                return binom2_poisson_law(rates, tail_tol)
-            if kind == "shared":
-                return shared_component_law(new_shared_component_spec(self.dimension, rates), tail_tol)
-            return compound_weighted_law(rates, tail_tol)
+            return _fixed_target(tspec, "")(self.dimension, tail_tol)
 
 
 @dataclass(frozen=True)
@@ -321,8 +315,11 @@ class MultiplexScenario(BuiltScenario):
 
     multiplex: Multiplex
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
-        return _multiplex_law(self.multiplex, spec, c, seed)
+    def exact(self, c: int) -> DiscreteLaw:
+        return exact_law(self.multiplex, c)
+
+    def simulate(self, cfg) -> EmpiricalLaw:
+        return simulate_T(self.multiplex, cfg)
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         rates = {
@@ -338,10 +335,11 @@ class WeightedScenario(BuiltScenario):
 
     weighted: WeightedUniformHypergraph
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
-        if spec.law == "exact":
-            return _enumerated(exact_law_weighted(self.weighted, c))
-        return _simulated(simulate_W(self.weighted, _config(spec, c, seed)))
+    def exact(self, c: int) -> DiscreteLaw:
+        return exact_law_weighted(self.weighted, c)
+
+    def simulate(self, cfg) -> EmpiricalLaw:
+        return simulate_W(self.weighted, cfg)
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         counts = Counter(self.weighted.weights)
@@ -353,11 +351,11 @@ class WeightedScenario(BuiltScenario):
 class ApScenario(BuiltScenario):
     """r-term APs in [1, n], r = uniformity; derived: Poisson at the largest mean."""
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
-        if spec.law == "exact":
-            M = new_multiplex([ap_hypergraph(range(1, self.n + 1), self.uniformity)])
-            return _enumerated(exact_law(M, c))
-        return _simulated(simulate_ap_T(self.n, self.uniformity, _config(spec, c, seed)))
+    def exact(self, c: int) -> DiscreteLaw:
+        return exact_law(new_multiplex([ap_hypergraph(range(1, self.n + 1), self.uniformity)]), c)
+
+    def simulate(self, cfg) -> EmpiricalLaw:
+        return simulate_ap_T(self.n, self.uniformity, cfg)
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         return poisson_law(largest.ref_count / c_largest ** (largest.uniformity - 1), tail_tol)
@@ -369,10 +367,11 @@ class CorrErScenario(BuiltScenario):
 
     er_params: CorrelatedErParams
 
-    def law(self, spec: ExperimentSpec, c: int, seed: int) -> Counted:
-        if spec.law == "exact":
-            raise ValidationError(f"law: exact enumeration unavailable for scenario {spec.scenario!r}")
-        return _simulated(simulate_correlated_er_T(self.er_params, _config(spec, c, seed)))
+    def exact(self, c: int) -> DiscreteLaw:
+        raise ValidationError("law: exact enumeration unavailable for scenario 'corr-er'")
+
+    def simulate(self, cfg) -> EmpiricalLaw:
+        return simulate_correlated_er_T(self.er_params, cfg)
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         ep = largest.er_params
@@ -419,7 +418,8 @@ class AppendixBScenario(BuiltScenario):
         rows = []
         for offset, name in enumerate(sorted(self.variants)):
             seed = (spec.seed + offset) % 2**64
-            emp[name], counting[name] = _multiplex_law(self.variants[name], spec, c, seed)
+            variant = MultiplexScenario(self.n, 3, 2, self.ref_count, self.variants[name])
+            emp[name], counting[name] = variant.law(spec, c, seed)()
             rows.append(_compare_row(self.n, c, name, emp[name], limits[name], counting[name]))
         rows.append(_compare_row(self.n, c, "cross", emp["nested"], emp["pairwise"], counting["nested"]))
         return rows
@@ -611,9 +611,8 @@ def run_compare(spec: ExperimentSpec) -> list[dict]:
         built_by_n[n] = build_scenario(spec, n)
         build_s[n] = round(time.perf_counter() - t0, 3)
     c_by_n = {n: resolve_colors(spec.c_rule, built_by_n[n]) for n in spec.sizes}
-    if spec.law == "simulate":
-        for n in spec.sizes:  # every size's c fits the draw before any law runs
-            _config(spec, c_by_n[n], spec.seed)
+    for n in spec.sizes:  # every size's c fits a simulated law's draw before any law runs
+        built_by_n[n].law(spec, c_by_n[n], spec.seed)
     n_largest = max(spec.sizes)
     rows: list[dict] = []
     for n in spec.sizes:

@@ -26,7 +26,7 @@ from monoplex.cli import (
     spec_to_obj,
 )
 from monoplex.core import Multiplex, ValidationError
-from monoplex.laws import law_moments
+from monoplex.laws import MAX_LAW_CELLS, law_moments
 from monoplex.serialize import load_structure, read_json, weighted_to_obj, write_json
 from monoplex.simulate import BLOCK_SIZE, CHUNK, _choose_backend, new_simulation_config, simulate_T
 
@@ -426,40 +426,64 @@ class TestCompare:
 
     def test_manifest_records_layer_backends(self, tmp_path):
         # edge-color's P4 and K1,3 layers at n = 10 (c = 92) go to pair-class;
-        # the ap and corr-er rows name their own kernels
+        # the ap and corr-er rows name their own kernels. Every scenario's
+        # simulate record is pinned: blocks, chunk and one record per layer.
+        small = dict(law="simulate", replicates=700, targets=({"kind": "derived", "label": "d"},))
         runs = {
             "edge-color": dict(spec_to_obj(preset_spec("edge-color")), sizes=[10], replicates=600),
             "ap": spec_to_obj(make_spec(law="simulate", sizes=(20,))),
-            "corr-er": spec_to_obj(
-                make_spec(
-                    scenario="corr-er",
-                    params={"r": 2, "p": 0.2, "rho": 0.05},
-                    sizes=(12,),
-                    law="simulate",
-                    targets=({"kind": "derived", "label": "d"},),
-                )
-            ),
+            "corr-er": spec_to_obj(make_spec(scenario="corr-er", params={"r": 2, "p": 0.2, "rho": 0.05}, sizes=(12,), **small)),
         }
-        backends = {}
+        for scenario, (params, n) in EXACT_PARAMS.items():
+            if scenario not in ("ap", "corr-er"):
+                rule = {"kind": "fixed", "value": 3}
+                runs[scenario] = spec_to_obj(make_spec(scenario=scenario, params=params, sizes=(n,), c_rule=rule, **small))
+        records = {}
         for name, obj in runs.items():
             cfg = tmp_path / f"{name}.json"
             write_json(cfg, obj)
             out = tmp_path / name
             assert run_cli("compare", "--config", cfg, "--out", out) == 0
-            (row,) = read_json(out / "manifest.json")["results"]
-            backends[name] = [layer["backend"] for layer in row["counting"]["layers"]]
-        assert backends == {
+            records[name] = [row["counting"] for row in read_json(out / "manifest.json")["results"]]
+        backends = {name: [layer["backend"] for layer in recs[0]["layers"]] for name, recs in records.items()}
+        assert {name: backends[name] for name in ("edge-color", "ap", "corr-er")} == {
             "edge-color": ["pair-class", "pair-class"],
             "ap": ["ap"],
             "corr-er": ["class-sizes", "class-sizes"],
         }
 
+        def simulated(*layers):
+            return {"law": "simulate", "blocks": 1, "chunk": CHUNK, "layers": list(layers)}
+
+        def dense(edges, vertices, r, expected, c=3):
+            keys = ("backend", "requested", "edges", "vertices", "uniformity", "c", "expected_subsets")
+            return dict(zip(keys, ("dense", "auto", edges, vertices, r, c, expected)))
+
+        kernel = {"backend": "ap", "vertices": 20, "uniformity": 3, "c": 2}
+        classes = {"backend": "class-sizes", "vertices": 12, "uniformity": 2, "c": 2}
+        nested, pairwise = simulated(*[dense(10, 13, 2, 26.0)] * 3), simulated(*[dense(10, 12, 2, 22.0)] * 3)
+        assert {name: recs for name, recs in records.items() if name != "edge-color"} == {
+            "ap": [simulated(kernel)],
+            "corr-er": [simulated(classes, classes)],
+            "complete-graph": [simulated(dense(10, 5, 2, 10 / 3))],
+            "pattern-copies": [simulated(dense(12, 6, 2, 5.0))],
+            "weighted-blocks": [simulated(dense(2, 6, 3, 20 / 9))],
+            "appendix-a": [simulated(dense(6, 5, 3, 10 / 9))],
+            "appendix-b": [nested, pairwise, nested],  # the cross row carries nested's record
+        }
+        assert [r["blocks"] for r in records["edge-color"]] == [1]
+
     def test_manifest_records_exact_counting(self, tmp_path):
-        cfg = tmp_path / "spec.json"
-        write_json(cfg, spec_to_obj(make_spec()))
-        out = tmp_path / "run"
-        assert run_cli("compare", "--config", cfg, "--out", out) == 0
-        assert [r["counting"] for r in read_json(out / "manifest.json")["results"]] == [{"law": "exact"}]
+        records = {}
+        for scenario, (params, n) in EXACT_PARAMS.items():
+            if scenario != "corr-er":  # no exact law (TestScenarioLaws::test_exact_law)
+                cfg = tmp_path / f"{scenario}.json"
+                write_json(cfg, spec_to_obj(make_spec(scenario=scenario, params=params, sizes=(n,))))
+                out = tmp_path / scenario
+                assert run_cli("compare", "--config", cfg, "--out", out) == 0
+                records[scenario] = [r["counting"] for r in read_json(out / "manifest.json")["results"]]
+        rows = {scenario: 3 if scenario == "appendix-b" else 1 for scenario in records}
+        assert records == {scenario: [{"law": "exact"}] * k for scenario, k in rows.items()}
 
     def test_manifest_reconstructs_run(self, tmp_path):
         cfg = tmp_path / "spec.json"
@@ -603,17 +627,29 @@ class TestCompare:
         rows = read_json(out / "results.json")["rows"]
         assert rows[0]["label"] == "pois-quarter"
 
-    def test_appendix_b_rows(self, tmp_path):
+    def test_appendix_b_rows(self, tmp_path, monkeypatch):
+        # variant i in name order draws with seed + i, wrapping at 2^64;
+        # TestGoldenOutputs pins the preset's results.csv
+        seeds = []
+        original = cli.simulate_T
+
+        def recording(M, cfg, *args, **kwargs):
+            seeds.append(cfg.seed)
+            return original(M, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_T", recording)
         spec = preset_spec("appendix-b")
         obj = spec_to_obj(spec)
         obj["sizes"] = [60]
         obj["replicates"] = 2000
+        obj["seed"] = 2**64 - 1
         cfg = tmp_path / "spec.json"
         write_json(cfg, obj)
         out = tmp_path / "run"
         assert run_cli("compare", "--config", cfg, "--out", out) == 0
         labels = [line.split(",")[2] for line in (out / "results.csv").read_text().strip().splitlines()[1:]]
         assert labels == ["nested", "pairwise", "cross"]
+        assert seeds == [2**64 - 1, 0]
 
     def test_config_and_preset_mutually_exclusive(self, capsys):
         assert run_cli("compare", "--preset", "birthday", "--config", "x.json") == 2
@@ -750,6 +786,17 @@ class TestSpecValidation:
                 {"targets": [{"kind": "compound", "label": "w", "rates": {"1": 0.3, "01": 5.0}}]},
                 "targets[0].rates[1]: weight 1 is given twice",
             ),
+            ({"targets": [{"kind": "poisson", "label": "a,b", "rate": 0.5}]}, "targets[0].label"),
+            (
+                {"targets": [{"kind": "poisson", "label": "p", "rate": 0.5}, {"kind": "derived", "label": "p"}]},
+                "targets[1].label: 'p' is given twice",
+            ),
+            ({"targets": [{"kind": "shared", "label": "s", "rates": [{"subset": [], "rate": 0.5}]}]}, "targets[0].rates[0].subset"),
+            ({"targets": [{"kind": "shared", "label": "s", "rates": [{"subset": [0], "rate": 0.5}]}]}, "targets[0].rates[0].subset"),
+            (
+                {"targets": [{"kind": "shared", "label": "s", "rates": [{"subset": [3], "rate": 0.5}]}]},
+                "targets[s]: rates: subset [3] not within [1, 1]",
+            ),
         ],
         ids=[
             "poisson-without-rate",
@@ -775,6 +822,11 @@ class TestSpecValidation:
             "pattern-nine-vertices",
             "shared-subset-twice",
             "compound-weight-twice",
+            "label-with-comma",
+            "label-twice",
+            "shared-subset-empty",
+            "shared-subset-layer-0",
+            "shared-subset-past-dimension",
         ],
     )
     def test_malformed_spec_file_exits_2(self, change, field, tmp_path, capsys):
@@ -785,6 +837,18 @@ class TestSpecValidation:
         assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    # A law holding weight K has more than K states, so a weight at the law
+    # bound is refused before its key is read as an int or a rate list is built.
+    @pytest.mark.parametrize("weight", ["1" + "0" * 4999, str(MAX_LAW_CELLS)], ids=["5000-digits", "law-bound"])
+    def test_compound_weight_at_law_bound_exits_3(self, weight, tmp_path, capsys):
+        obj = spec_to_obj(make_spec())
+        obj["targets"] = [{"kind": "compound", "label": "w", "rates": {weight: 0.5}}]
+        cfg = tmp_path / "spec.json"
+        write_json(cfg, obj)
+        assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert f"targets[0].rates: weight" in err and str(MAX_LAW_CELLS) in err and "Traceback" not in err
 
 
 class TestScenarioPlumbing:
@@ -909,7 +973,7 @@ class TestScenarioLaws:
         if scenario == "corr-er":
             err = capsys.readouterr().err
             assert code == 2
-            assert "exact" in err and "unavailable" in err
+            assert "error: law: exact enumeration unavailable for scenario 'corr-er'" in err
         else:
             assert code == 0
             rows = (out / "results.csv").read_text().strip().splitlines()[1:]
