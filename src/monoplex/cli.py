@@ -128,12 +128,14 @@ def _number(value, where: str) -> float:
     return x
 
 
-def _fixed_target(t: dict, where: str) -> Callable[[int, float], DiscreteLaw]:
+def _target_law(t: dict, where: str) -> Callable[[int, float], DiscreteLaw] | None:
     """The law builder (dimension, tail_tol) -> law of a fixed target: one
     rate (poisson, binom2-poisson), subset -> rate (shared), or the rates of
-    weights 1..K (compound). Value ranges and layer numbers past the
-    dimension are checked where the law is built."""
+    weights 1..K (compound); None for "derived", whose law the scenario gives.
+    Value ranges and layers past the dimension are checked where the law is built."""
     kind = t.get("kind")
+    if kind == "derived":
+        return None
     if kind in ("poisson", "binom2-poisson"):
         rate = _number(t.get("rate"), f"{where}.rate")
         return lambda d, tol: (poisson_law if kind == "poisson" else binom2_poisson_law)(rate, tol)
@@ -215,8 +217,7 @@ def new_experiment_spec(
     for i, t in enumerate(targets):
         if not isinstance(t, dict):
             raise ValidationError(f"targets[{i}]: expected an object, got {t!r}")
-        if t.get("kind") != "derived":
-            _fixed_target(t, f"targets[{i}]")
+        _target_law(t, f"targets[{i}]")
         label = t.get("label")
         # results.csv writes labels unquoted, one row per label
         if not isinstance(label, str) or not label or any(ch in label for ch in ',"\r\n'):
@@ -303,10 +304,9 @@ class BuiltScenario:
 
     def target(self, tspec: dict, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
         """The limit law that one target of the spec names, at this size."""
+        build = _target_law(tspec, f"targets[{tspec['label']}]")
         with _named(f"targets[{tspec['label']}]"):
-            if tspec["kind"] == "derived":
-                return self.derived(largest, c_largest, c, tail_tol)
-            return _fixed_target(tspec, "")(self.dimension, tail_tol)
+            return build(self.dimension, tail_tol) if build else self.derived(largest, c_largest, c, tail_tol)
 
 
 @dataclass(frozen=True)
