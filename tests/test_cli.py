@@ -848,7 +848,7 @@ class TestSpecValidation:
         write_json(cfg, obj)
         assert run_cli("compare", "--config", cfg, "--out", tmp_path / "run") == 3
         err = capsys.readouterr().err
-        assert f"targets[0].rates: weight" in err and str(MAX_LAW_CELLS) in err and "Traceback" not in err
+        assert "targets[0].rates: weight" in err and str(MAX_LAW_CELLS) in err and "Traceback" not in err
 
 
 class TestScenarioPlumbing:
