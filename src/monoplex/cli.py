@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import copy
 import itertools
+import os
+import platform
 import sys
 import time
 from collections import Counter
@@ -520,6 +522,8 @@ def _build_appendix_a(params: dict, n: int) -> BuiltScenario:
 
 def _build_appendix_b(params: dict, n: int) -> BuiltScenario:
     lam = _param(params, "lam", 0.2)
+    if not 0 < lam < 0.25:
+        raise ValidationError(f"params.lam: must be in (0, 1/4), got {lam}")
     variants = {v: appendix_three_multiplex(n, lam, v) for v in ("nested", "pairwise")}
     return AppendixBScenario(n, 3, 2, comb(n, 2), lam, variants)
 
@@ -648,6 +652,7 @@ def write_run(spec: ExperimentSpec, rows: list[dict], out: Path, fmt: str) -> di
             "kind": "run_manifest",
             "artifact_version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
+            "platform": {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count()},
             "spec": spec_to_obj(spec),
             "results": list(rows),
             "outputs": {"table": str(table)},
@@ -757,26 +762,31 @@ def cmd_construct(args) -> int:
     if name == "ap":
         if args.n < args.r:  # the loader refuses a file with fewer vertices than r
             raise ValidationError(f"n: must be >= r = {args.r}, got {args.n}")
-        obj = hypergraph_to_obj(ap_hypergraph(range(1, args.n + 1), args.r))
+        structure = ap_hypergraph(range(1, args.n + 1), args.r)
     elif name == "complete":
-        obj = hypergraph_to_obj(_complete(args.n))
+        structure = _complete(args.n)
     elif name == "appendix-a":
-        obj = hypergraph_to_obj(appendix_star_hypergraph(args.n))
+        structure = appendix_star_hypergraph(args.n)
     elif name == "appendix-b":
-        obj = multiplex_to_obj(appendix_three_multiplex(args.n, args.lam, args.variant))
+        structure = appendix_three_multiplex(args.n, args.lam, args.variant)
     elif name == "corr-er":
         params = new_correlated_er_params(args.n, args.r, args.p, args.rho)
         _check_seed(args.seed)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=args.seed)))
-        obj = multiplex_to_obj(sample_correlated_er(params, rng))
+        structure = sample_correlated_er(params, rng)
     else:
         raise ValidationError(
             f"construct: unknown construction {name!r} "
             "(expected ap, complete, appendix-a, appendix-b, corr-er)"
         )
     out = args.out or f"{name}-n{args.n}.json"
-    write_json(out, obj)
-    sizes = "+".join(str(len(layer["edges"])) for layer in obj.get("layers", [obj]))
+    if isinstance(structure, Multiplex):
+        write_json(out, multiplex_to_obj(structure))
+        layers = structure.layers
+    else:
+        write_json(out, hypergraph_to_obj(structure))
+        layers = (structure,)
+    sizes = "+".join(str(layer.num_edges) for layer in layers)
     print(f"wrote {out} ({sizes} edges)")
     return 0
 

@@ -131,8 +131,11 @@ class Coloring:
     num_colors: int
 
 
-def new_hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
-    """Validate, canonicalize and deduplicate-check an edge list.
+def new_hypergraph(
+    r: int, n: int, edges: Iterable[Sequence[int]] | np.ndarray
+) -> UniformHypergraph:
+    """Validate, canonicalize and deduplicate-check an edge list, or an
+    (E, r) integer array of edges.
 
     Rejects edges of wrong size, repeated vertices within an edge, vertices
     outside [0, n), and duplicate edges (edge sets are simple).
@@ -140,21 +143,32 @@ def new_hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHyp
     return _canonical(r, n, edges)[0]
 
 
-def _canonical(
-    r: int, n: int, edges: Iterable[Sequence[int]]
-) -> tuple[UniformHypergraph, np.ndarray]:
-    """new_hypergraph's layer, and per edge of it the index of its input edge.
-
-    The edge list is checked as arrays: an exact-type scan, a range check, a
-    row sort, a repeated-vertex check and a lexsort duplicate check. The
-    error names the first offending edges[i] (or edges[i][j]) in input
-    order, with the checks in that order within an edge."""
+def _check_sizes(r, n) -> None:
+    """uniformity r >= 2 and num_vertices n in [r, MAX_VERTICES], as integers."""
     if not isinstance(r, int) or r < 2:
         raise ValidationError(f"uniformity: must be an integer >= 2, got {r!r}")
     if not isinstance(n, int) or n < r:
         raise ValidationError(f"num_vertices: must be an integer >= uniformity {r}, got {n!r}")
     if n > MAX_VERTICES:
         raise ValidationError(f"num_vertices: must be at most {MAX_VERTICES} (int32 vertices), got {n}")
+
+
+def _canonical(
+    r: int, n: int, edges: Iterable[Sequence[int]] | np.ndarray
+) -> tuple[UniformHypergraph, np.ndarray]:
+    """new_hypergraph's layer, and per edge of it the index of its input edge.
+
+    An (E, r) integer array goes to _checked_rows as it is. An edge list
+    first gets an exact-type scan; its edges before the first one with a
+    wrong size or a vertex that is not an int go to _checked_rows as an
+    array, and that edge's own fault is named only when none of them has
+    one. So the error names the first offending edges[i] (or edges[i][j])
+    in input order, with the checks in that order within an edge."""
+    _check_sizes(r, n)
+    if isinstance(edges, np.ndarray):
+        if edges.ndim != 2 or edges.shape[1] != r or not np.issubdtype(edges.dtype, np.integer):
+            raise ValidationError(f"edges: expected an (E, {r}) integer array, got {edges.dtype} of shape {edges.shape}")
+        return _checked_rows(r, n, edges)
     rows = _listed(edges, "edges")
     try:
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
@@ -162,39 +176,55 @@ def _canonical(
         i = next(i for i, row in enumerate(rows) if not isinstance(row, Sized))
         _canonical(r, n, rows[:i])  # a fault in an earlier edge is named first
         raise ValidationError(f"edges[{i}]: expected a list of vertices, got {type(rows[i]).__name__}") from None
-    ends = np.cumsum(lengths)
     flat = list(itertools.chain.from_iterable(rows))
-    # Values are read up to flat[k], the first bool or non-integer.
+    # k is the index in flat of the first bool or non-integer.
     bad_types = {t for t in set(map(type, flat)) if t is bool or not issubclass(t, int)}
     marks = map(bad_types.__contains__, map(type, flat))
     k = next(itertools.compress(itertools.count(), marks), len(flat)) if bad_types else len(flat)
-    values = np.array(flat[:k])
-    # argmax finds the first True; the appended Trues stand for "none".
-    first_bad = int(np.argmax(np.append((values < 0) | (values >= n), [k < len(flat), True])))
-    stop = min(np.searchsorted(ends, first_bad, side="right"), np.argmax(np.append(lengths != r, True)))
-    # Edges before stop are r valid vertices each.
-    block = np.sort(values[: stop * r].astype(np.int64).reshape(stop, r), axis=1)
-    order, starts = _row_runs(block)
-    repeated = np.argmax(np.append((block[:, 1:] == block[:, :-1]).any(axis=1), True))
-    duplicate = np.delete(order, starts).min(initial=stop)  # a run's later edges
-    if repeated < min(stop, duplicate):
-        raise ValidationError(f"edges[{repeated}]: repeated vertex in {list(rows[repeated])}")
-    if duplicate < stop:
-        raise ValidationError(f"edges[{duplicate}]: duplicate edge {block[duplicate].tolist()}")
+    stop = min(np.searchsorted(np.cumsum(lengths), k, side="right"), np.argmax(np.append(lengths != r, True)))
+    # Edges before stop are r ints each; ints past int64 are kept exact.
+    try:
+        values = np.array(flat[: stop * r], dtype=np.int64)
+    except OverflowError:
+        values = np.array(flat[: stop * r], dtype=object)
+    layer, order = _checked_rows(r, n, values.reshape(stop, r))
     if stop < len(rows):
-        if first_bad >= ends[stop]:
-            raise ValidationError(f"edges[{stop}]: expected {r} vertices, got {lengths[stop]}")
-        at, v = f"edges[{stop}][{first_bad - ends[stop] + lengths[stop]}]", flat[first_bad]
-        if first_bad == k:
-            raise ValidationError(f"{at}: vertex must be an integer, got {v!r}")
-        raise ValidationError(f"{at}: vertex {v} out of range [0, {n})")
+        for j, v in enumerate(rows[stop]):
+            if not _is_int(v):
+                raise ValidationError(f"edges[{stop}][{j}]: vertex must be an integer, got {v!r}")
+            if not 0 <= v < n:
+                raise ValidationError(f"edges[{stop}][{j}]: vertex {v} out of range [0, {n})")
+        raise ValidationError(f"edges[{stop}]: expected {r} vertices, got {lengths[stop]}")
+    return layer, order
+
+
+def _checked_rows(r: int, n: int, rows: np.ndarray) -> tuple[UniformHypergraph, np.ndarray]:
+    """_canonical for an (E, r) array of ints: a range check, a row sort, a
+    repeated-vertex check and a _row_runs duplicate check. Within a row the
+    checks run in that order; the error names the first offending row."""
+    bad, j = divmod(_first(((rows < 0) | (rows >= n)).ravel()), r)
+    block = np.sort(rows[:bad].astype(np.int32), axis=1)
+    order, starts = _row_runs(block)
+    repeated = _first((block[:, 1:] == block[:, :-1]).ravel()) // (r - 1)
+    duplicate = np.delete(order, starts).min(initial=bad)  # a run's later rows
+    if repeated < min(bad, duplicate):
+        raise ValidationError(f"edges[{repeated}]: repeated vertex in {rows[repeated].tolist()}")
+    if duplicate < bad:
+        raise ValidationError(f"edges[{duplicate}]: duplicate edge {block[duplicate].tolist()}")
+    if bad < len(rows):
+        raise ValidationError(f"edges[{bad}][{j}]: vertex {rows[bad, j]} out of range [0, {n})")
     return UniformHypergraph(r, n, block[order]), order
 
 
-def _listed(values, where: str) -> list | tuple:
-    """values as a list (a list or tuple is kept as it is); a value that is
-    not iterable raises ValidationError naming where."""
-    if isinstance(values, (list, tuple)):
+def _first(marks: np.ndarray) -> int:
+    """The index of the first True in a 1-d bool array, or its length."""
+    return int(marks.argmax()) if marks.any() else len(marks)
+
+
+def _listed(values, where: str) -> list | tuple | np.ndarray:
+    """values as a list (a list, tuple or array is kept as it is); a value
+    that is not iterable raises ValidationError naming where."""
+    if isinstance(values, (list, tuple, np.ndarray)):
         return values
     if not isinstance(values, Iterable):
         raise ValidationError(f"{where}: expected a list, got {type(values).__name__}")
@@ -231,11 +261,13 @@ def new_multiplex(layers: Iterable[UniformHypergraph]) -> Multiplex:
 def new_weighted_hypergraph(
     r: int,
     n: int,
-    edges: Iterable[Sequence[int]],
+    edges: Iterable[Sequence[int]] | np.ndarray,
     weights: Iterable[int],
     weight_bound: int | None = None,
 ) -> WeightedUniformHypergraph:
-    """Pair each input edge with its weight, then canonicalize jointly."""
+    """Pair each input edge (a list, or a row of an (E, r) integer array)
+    with its weight, then canonicalize jointly."""
+    _check_sizes(r, n)
     edges = _listed(edges, "edges")
     weights = _listed(weights, "weights")
     if len(weights) != len(edges):

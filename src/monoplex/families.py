@@ -68,7 +68,7 @@ def new_simple_graph(n: int, edges: Iterable[Sequence[int]]) -> UniformHypergrap
     if not _is_int(n) or n < 0:
         raise ValidationError(f"num_vertices: must be an integer >= 0, got {n!r}")
     if n < 2:
-        if _listed(edges, "edges"):
+        if len(_listed(edges, "edges")):
             raise ValidationError(f"edges[0]: out of range [0, {n}), a graph on {n} < 2 vertices has no edges")
         return UniformHypergraph(2, n, ())
     return new_hypergraph(2, n, edges)

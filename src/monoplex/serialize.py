@@ -1,23 +1,28 @@
 """JSON encodings for hypergraphs, multiplexes and weighted hypergraphs.
 
-Every object carries a "kind" tag so files are self-describing. Files and
-reports are written by dumps, which gives the bytes of
-json.dumps(obj, indent=2, sort_keys=True): json writes them all except the
-int lists and edge lists, which one %-template writes.
+Every object carries a "kind" tag so files are self-describing. A structure
+object holds its edges in exactly one of two fields: "edges", a list of
+vertex lists, or "edge_data", the base64 (standard alphabet, no line
+breaks) of the edge array as little-endian int32, row-major, "uniformity"
+vertices per row. The writers give "edge_data"; the readers take either.
+Files and reports are written as json.dumps(obj, indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
 
-import itertools
+import base64
 import json
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from monoplex.core import (
     Multiplex,
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _check_sizes,
     _is_int,
     new_hypergraph,
     new_multiplex,
@@ -33,21 +38,43 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _edge_data(H: UniformHypergraph) -> str:
+    return base64.b64encode(H.edge_array.astype("<i4", copy=False).tobytes()).decode("ascii")
+
+
+def _layer_fields(obj: dict, where: str) -> tuple[Any, Any, list | np.ndarray]:
+    """uniformity, num_vertices and the edges of a structure object: its
+    "edges" list, or its "edge_data" decoded to an (E, r) int32 array."""
+    r, n = _require(obj, "uniformity", where), _require(obj, "num_vertices", where)
+    if ("edges" in obj) == ("edge_data" in obj):
+        fault = "holds both 'edges' and" if "edges" in obj else "missing field 'edges' or"
+        raise ValidationError(f"{where}: {fault} 'edge_data' (exactly one is required)")
+    if "edges" in obj:
+        return r, n, obj["edges"]
+    _check_sizes(r, n)  # as for an edge list; the row length is read from r
+    data, where = obj["edge_data"], f"{where}.edge_data"
+    if not isinstance(data, str):
+        raise ValidationError(f"{where}: expected a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character past ASCII
+        raise ValidationError(f"{where}: invalid base64 ({exc})") from None
+    if len(raw) % (4 * r):
+        raise ValidationError(f"{where}: {len(raw)} bytes is not a whole number of {r}-vertex int32 rows")
+    return r, n, np.frombuffer(raw, dtype="<i4").reshape(-1, r)
+
+
 def hypergraph_to_obj(H: UniformHypergraph) -> dict:
     return {
         "kind": "uniform_hypergraph",
         "uniformity": H.uniformity,
         "num_vertices": H.num_vertices,
-        "edges": H.edge_array.tolist(),
+        "edge_data": _edge_data(H),
     }
 
 
 def hypergraph_from_obj(obj: dict, where: str = "hypergraph") -> UniformHypergraph:
-    return new_hypergraph(
-        _require(obj, "uniformity", where),
-        _require(obj, "num_vertices", where),
-        _require(obj, "edges", where),
-    )
+    return new_hypergraph(*_layer_fields(obj, where))
 
 
 def multiplex_to_obj(M: Multiplex) -> dict:
@@ -76,20 +103,15 @@ def weighted_to_obj(WH: WeightedUniformHypergraph) -> dict:
         "kind": "weighted_hypergraph",
         "uniformity": WH.base.uniformity,
         "num_vertices": WH.base.num_vertices,
-        "edges": WH.base.edge_array.tolist(),
+        "edge_data": _edge_data(WH.base),
         "weights": list(WH.weights),
         "weight_bound": WH.weight_bound,
     }
 
 
 def weighted_from_obj(obj: dict, where: str = "weighted_hypergraph") -> WeightedUniformHypergraph:
-    return new_weighted_hypergraph(
-        _require(obj, "uniformity", where),
-        _require(obj, "num_vertices", where),
-        _require(obj, "edges", where),
-        _require(obj, "weights", where),
-        obj.get("weight_bound"),
-    )
+    r, n, edges = _layer_fields(obj, where)
+    return new_weighted_hypergraph(r, n, edges, _require(obj, "weights", where), obj.get("weight_bound"))
 
 
 _READERS = {
@@ -109,59 +131,7 @@ def structure_from_obj(obj: Any, where: str = "input"):
 
 
 def dumps(obj: Any) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-
-    json writes every byte but those of the lists that _int_rows accepts
-    (ints, or equal-length rows of ints such as edge lists), which json's
-    indenting encoder is slow on: each is hidden behind a placeholder
-    string, formatted by one %-template and spliced back in.
-    """
-    blocks: list[str] = []
-
-    def hide(x: Any, nl: str) -> Any:
-        """A copy of x with each accepted list replaced by a placeholder
-        string; nl is x's line break and indent."""
-        if isinstance(x, dict):
-            return {key: hide(value, nl + "  ") for key, value in x.items()}
-        if not isinstance(x, (list, tuple)):
-            return x
-        rows = _int_rows(x, nl)
-        if rows is None:
-            return [hide(value, nl + "  ") for value in x]
-        blocks.append(rows)
-        return f"\0rows{len(blocks) - 1}\0"
-
-    try:  # json writes each placeholder as "\u0000rows<i>\u0000"
-        parts = json.dumps(hide(obj, "\n"), indent=2, sort_keys=True).split('"\\u0000rows')
-    except RecursionError:  # a circular or deeply nested value: json's own result or error
-        return json.dumps(obj, indent=2, sort_keys=True)
-    if len(parts) != len(blocks) + 1:  # a string in obj looks like a placeholder
-        return json.dumps(obj, indent=2, sort_keys=True)
-    pieces = [parts[0]]
-    for part in parts[1:]:  # sort_keys reorders the blocks: read each index
-        index, _, rest = part.partition('\\u0000"')
-        pieces += (blocks[int(index)], rest)
-    return "".join(pieces)
-
-
-def _int_rows(items: list | tuple, nl: str) -> str | None:
-    """items encoded by one %-template when they are exact ints (bool is
-    not one: json writes it as true/false) or equal-length, non-empty rows
-    of them; None for any other list."""
-    inner = nl + "  "
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        cell, values = "%d", tuple(items)
-    else:
-        lengths = set(map(len, items)) if kinds <= {list, tuple} else set()
-        if len(lengths) != 1:
-            return None
-        values = tuple(itertools.chain.from_iterable(items))
-        if set(map(type, values)) != {int}:
-            return None
-        pad = inner + "  "
-        cell = "[" + pad + ("," + pad).join(["%d"] * lengths.pop()) + inner + "]"
-    return f"[{inner}{(',' + inner).join([cell] * len(items))}{nl}]" % values
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -1,12 +1,17 @@
 """Command-line interface: construct, moments, preset, compare."""
 
+import base64
 import importlib.util
 import json
+import os
+import platform
+import struct
 import sys
 from collections import Counter
 from math import exp
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import monoplex.core
@@ -25,9 +30,10 @@ from monoplex.cli import (
     spec_from_obj,
     spec_to_obj,
 )
-from monoplex.core import Multiplex, ValidationError
+from monoplex.core import Multiplex, ValidationError, new_hypergraph
+from monoplex.families import ap_hypergraph, appendix_star_hypergraph, appendix_three_multiplex
 from monoplex.laws import MAX_LAW_CELLS, law_moments
-from monoplex.serialize import load_structure, read_json, weighted_to_obj, write_json
+from monoplex.serialize import hypergraph_to_obj, load_structure, read_json, weighted_to_obj, write_json
 from monoplex.simulate import BLOCK_SIZE, CHUNK, _choose_backend, new_simulation_config, simulate_T
 
 
@@ -38,6 +44,37 @@ SPANS = BENCH / "spans.py"
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def packed(H):
+    """The "edge_data" field of H, packed vertex by vertex from its edge tuples."""
+    return base64.b64encode(b"".join(struct.pack("<i", v) for e in H.edges for v in e)).decode("ascii")
+
+
+def file_objects(structure, edges):
+    """The structure's file object, with edges(H) giving each layer's edge
+    fields."""
+
+    def layer(H):
+        return {"kind": "uniform_hypergraph", "uniformity": H.uniformity, "num_vertices": H.num_vertices, **edges(H)}
+
+    if isinstance(structure, Multiplex):
+        return {"kind": "multiplex", "num_vertices": structure.num_vertices, "layers": [layer(H) for H in structure.layers]}
+    return layer(structure)
+
+
+def json_bytes(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def bench_workloads(monkeypatch):
+    """bench/workloads.py, imported from its file as the benchmark imports it."""
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checks
+    loader = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # for its dataclasses
+    loader.loader.exec_module(workloads)
+    return workloads
 
 
 class TestConstruct:
@@ -81,21 +118,14 @@ class TestConstruct:
     )
     def test_bytes_match_tuple_encoding(self, tmp_path, argv):
         # Files encode edges from the layers' arrays; the bytes are those of
-        # listing each edge tuple.
-        out = tmp_path / "s.json"
+        # packing each edge tuple. The list form the files had before
+        # edge_data, with each edge tuple listed, loads to the same structure.
+        out, listed = tmp_path / "s.json", tmp_path / "listed.json"
         assert run_cli("construct", *argv, "--out", out) == 0
         structure = load_structure(out)
-
-        def encode(H):
-            edges = [list(e) for e in H.edges]
-            return {"kind": "uniform_hypergraph", "uniformity": H.uniformity, "num_vertices": H.num_vertices, "edges": edges}
-
-        if isinstance(structure, Multiplex):
-            layers = [encode(H) for H in structure.layers]
-            obj = {"kind": "multiplex", "num_vertices": structure.num_vertices, "layers": layers}
-        else:
-            obj = encode(structure)
-        assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        assert out.read_bytes() == json_bytes(file_objects(structure, lambda H: {"edge_data": packed(H)}))
+        listed.write_bytes(json_bytes(file_objects(structure, lambda H: {"edges": [list(e) for e in H.edges]})))
+        assert load_structure(listed) == structure
 
     def test_weighted_bytes_match_tuple_encoding(self, tmp_path):
         spec = new_experiment_spec(
@@ -103,18 +133,21 @@ class TestConstruct:
             targets=({"kind": "derived", "label": "compound"},),
         )
         WH = build_scenario(spec, 50).weighted
-        out = tmp_path / "w.json"
+        out, listed = tmp_path / "w.json", tmp_path / "listed.json"
         write_json(out, weighted_to_obj(WH))
         obj = {
             "kind": "weighted_hypergraph",
             "uniformity": WH.base.uniformity,
             "num_vertices": WH.base.num_vertices,
-            "edges": [list(e) for e in WH.base.edges],
+            "edge_data": packed(WH.base),
             "weights": list(WH.weights),
             "weight_bound": WH.weight_bound,
         }
-        assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        assert out.read_bytes() == json_bytes(obj)
         assert load_structure(out) == WH
+        del obj["edge_data"]
+        listed.write_bytes(json_bytes({**obj, "edges": [list(e) for e in WH.base.edges]}))
+        assert load_structure(listed) == WH
 
     def test_unknown_exits_2(self, tmp_path, capsys):
         assert run_cli("construct", "moebius", "--n", 5) == 2
@@ -253,6 +286,29 @@ class TestMoments:
         assert run_cli("moments", f, "--c", 2) == 2
         err = capsys.readouterr().err
         assert f"{where}: expected a list" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"edge_data": 5}, "layers[1].edge_data: expected a base64 string, got int"),
+            ({"edge_data": [[0, 1]]}, "layers[1].edge_data: expected a base64 string, got list"),
+            ({"edge_data": "AAAA!AAAAAAA"}, "layers[1].edge_data: invalid base64"),
+            ({"edge_data": "AAAAAAEA\nAAA="}, "layers[1].edge_data: invalid base64"),
+            ({"edge_data": "AAAAAAEAAAA"}, "layers[1].edge_data: invalid base64"),
+            ({"edge_data": "AAAAAAEAAAACAAAA"}, "layers[1].edge_data: 12 bytes is not a whole number of 2-vertex int32 rows"),
+            ({"edge_data": "AAAAAAEAAAA=", "edges": [[0, 1]]}, "layers[1]: holds both 'edges' and 'edge_data'"),
+            ({}, "layers[1]: missing field 'edges' or 'edge_data'"),
+        ],
+        ids=["int", "list", "bad-character", "newline", "bad-padding", "partial-row", "both", "neither"],
+    )
+    def test_malformed_edge_data_exits_2(self, tmp_path, capsys, fields, message):
+        layer = hypergraph_to_obj(new_hypergraph(2, 3, [[0, 1]]))
+        bad = {"kind": "uniform_hypergraph", "uniformity": 2, "num_vertices": 3, **fields}
+        f = tmp_path / "m.json"
+        write_json(f, {"kind": "multiplex", "num_vertices": 3, "layers": [layer, bad]})
+        assert run_cli("moments", f, "--c", 2) == 2
+        err = capsys.readouterr().err
+        assert f"{f}.{message}" in err and "Traceback" not in err
 
     def test_overlaps_counted_once_per_report(self, tmp_path, monkeypatch, capsys):
         calls = Counter()
@@ -491,6 +547,8 @@ class TestCompare:
         out = tmp_path / "run"
         assert run_cli("compare", "--config", cfg, "--out", out) == 0
         manifest = read_json(out / "manifest.json")
+        assert manifest["platform"] == {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count()}
+        assert "platform" not in (out / "results.csv").read_text()
         respec = tmp_path / "respec.json"
         write_json(respec, manifest["spec"])
         again = tmp_path / "again"
@@ -797,6 +855,7 @@ class TestSpecValidation:
                 {"targets": [{"kind": "shared", "label": "s", "rates": [{"subset": [3], "rate": 0.5}]}]},
                 "targets[s]: rates: subset [3] not within [1, 1]",
             ),
+            ({"scenario": "appendix-b", "params": {"lam": 0.4}}, "params.lam: must be in (0, 1/4), got 0.4"),
         ],
         ids=[
             "poisson-without-rate",
@@ -827,6 +886,7 @@ class TestSpecValidation:
             "shared-subset-empty",
             "shared-subset-layer-0",
             "shared-subset-past-dimension",
+            "appendix-b-lam-out-of-range",
         ],
     )
     def test_malformed_spec_file_exits_2(self, change, field, tmp_path, capsys):
@@ -990,11 +1050,7 @@ class TestScenarioLaws:
     def test_bench_argv_parses(self, workload, tmp_path, monkeypatch):
         # The benchmark drives cli.main with these argument lists; a flag
         # the parser no longer takes would end its run with SystemExit.
-        monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checks
-        loader = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(loader)
-        monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # for its dataclasses
-        loader.loader.exec_module(workloads)
+        workloads = bench_workloads(monkeypatch)
         assert workload in workloads.WORKLOADS
         inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
         workloads.setup(workload, inputs, 1)
@@ -1007,6 +1063,28 @@ class TestScenarioLaws:
         for argv in argvs:
             parser.parse_args([str(a) for a in argv])
         assert argvs
+
+    def test_bench_reports_read_edge_data(self, tmp_path, monkeypatch):
+        # The exact-oracle moment reports read their structures from
+        # edge_data, which loads at array speed.
+        workloads = bench_workloads(monkeypatch)
+        workloads.setup("exact-oracle", tmp_path, 1)
+        weighted = new_experiment_spec(
+            "weighted-blocks", {"triangle_fraction": 0.3}, {"kind": "fixed", "value": 39}, (500,), 1, 1,
+            targets=({"kind": "derived", "label": "compound"},),
+        )
+        built = {
+            "ap-n300": ap_hypergraph(range(1, 301), 3),
+            "star-n200": appendix_star_hypergraph(200),
+            "appendix-b-nested-n200": appendix_three_multiplex(200, 0.2, "nested"),
+            "appendix-b-pairwise-n200": appendix_three_multiplex(200, 0.2, "pairwise"),
+            "weighted-blocks-n500": build_scenario(weighted, 500).weighted,
+        }
+        assert [name for name, *_ in workloads.REPORTS] == list(built)
+        for name, structure in built.items():
+            obj = read_json(tmp_path / f"{name}.json")
+            assert all("edge_data" in layer and "edges" not in layer for layer in obj.get("layers", [obj])), name
+            assert load_structure(tmp_path / f"{name}.json") == structure, name
 
     @pytest.mark.parametrize("name, law", [("simulate_T", "simulate"), ("exact_law", "exact")])
     def test_law_calls_go_through_module_globals(self, name, law, monkeypatch, tmp_path):

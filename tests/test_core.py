@@ -1,6 +1,8 @@
 """Types, validation, and exact pair/monochromatic counting."""
 
+import base64
 import itertools
+import struct
 from math import comb
 
 import numpy as np
@@ -32,6 +34,7 @@ from monoplex.core import (
     truncation_split,
     weighted_pair_sums_all,
 )
+from monoplex.serialize import structure_from_obj
 from oracles import (
     k_cross_pairwise,
     k_exact_pairwise,
@@ -170,6 +173,33 @@ def load_outcome(load, r, n, edges):
         return f"ValidationError: {exc}"
 
 
+@st.composite
+def int32_edge_lists(draw):
+    """(r, n, rows): rows of exactly r int32 vertices, in any order within a
+    row, some with a vertex outside [0, n), a repeated vertex or a repeat of
+    another row; the list may be empty."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 9))
+    pool = list(itertools.combinations(range(n), r))
+    rows = [list(draw(st.permutations(e))) for e in draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["vertex", "repeat", "copy"]))
+        if edit == "vertex":
+            row[draw(st.integers(0, r - 1))] = draw(st.sampled_from([-1, n, n + 1, -(2**31), 2**31 - 1]))
+        elif edit == "repeat":
+            a, b = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+            row[a] = row[b]
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), list(draw(st.permutations(row))))
+    return r, n, rows
+
+
+def edge_data(rows):
+    """The "edge_data" field of rows, packed vertex by vertex."""
+    return base64.b64encode(b"".join(struct.pack("<i", v) for row in rows for v in row)).decode("ascii")
+
+
 class TestArrayLoader:
     @given(edge_lists(), st.booleans())
     @settings(max_examples=600, deadline=None)
@@ -186,6 +216,38 @@ class TestArrayLoader:
             by_edge = {tuple(sorted(e)): w for e, w in zip(rows, weights)}
             assert WH.base == want
             assert WH.weights == tuple(by_edge[e] for e in want.edges)
+
+    @given(int32_edge_lists())
+    @settings(max_examples=600, deadline=None)
+    def test_edge_data_loads_like_edge_list(self, case):
+        # Both file forms give the reference's layer or its message; a
+        # weighted file keeps each weight with its edge.
+        r, n, rows = case
+        want = load_outcome(new_hypergraph_reference, r, n, rows)
+        weights = list(range(1, len(rows) + 1))
+        by_edge = {tuple(sorted(e)): w for e, w in zip(rows, weights)}
+        for key, value in (("edges", rows), ("edge_data", edge_data(rows))):
+
+            def read(kind, **extra):
+                obj = {"kind": kind, "uniformity": r, "num_vertices": n, key: value, **extra}
+                return load_outcome(lambda *_: structure_from_obj(obj), r, n, rows)
+
+            assert read("uniform_hypergraph") == want
+            WH = read("weighted_hypergraph", weights=weights)
+            if isinstance(want, str):
+                assert WH == want
+            else:
+                assert WH.base == want
+                assert WH.weights == tuple(by_edge[e] for e in want.edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [np.zeros((2, 3), dtype=np.int32), np.zeros(4, dtype=np.int64), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool)],
+        ids=["width-3", "one-dimensional", "float", "bool"],
+    )
+    def test_array_of_wrong_shape_or_type(self, edges):
+        with pytest.raises(ValidationError, match=r"^edges: expected an \(E, 2\) integer array, got "):
+            new_hypergraph(2, 3, edges)
 
     @pytest.mark.parametrize(
         "edges, message",
