@@ -43,6 +43,7 @@ from monoplex.core import (
     ValidationError,
     WeightedUniformHypergraph,
     _is_int,
+    _prefixed,
     new_multiplex,
 )
 from monoplex.families import (
@@ -71,15 +72,17 @@ from monoplex.laws import (
     shared_component_law,
     tv_distance,
 )
-# condition_ratios is unused here (variance_T's report carries the ratios);
-# it stays importable from this module, whose calls bench/spans.py wraps.
+# condition_ratios and mean_W are unused here (the reports carry the ratios
+# and the mean); they stay importable from this module, whose calls
+# bench/spans.py wraps.
 from monoplex.moments import (
+    _each,
     condition_ratios,
     mean_T,
+    mean_W,
     moment_matrix,
     variance_T,
     variance_W,
-    mean_W,
 )
 from monoplex.serialize import (
     dumps,
@@ -344,9 +347,9 @@ class WeightedScenario(BuiltScenario):
         return simulate_W(self.weighted, cfg)
 
     def derived(self, largest, c_largest: int, c: int, tail_tol: float) -> DiscreteLaw:
-        counts = Counter(self.weighted.weights)
-        inv = float(Fraction(1, c ** (self.uniformity - 1)))
-        return compound_weighted_law([counts[w] * inv for w in range(1, max(counts) + 1)], tail_tol)
+        counts, scale = Counter(self.weighted.weights), c ** (self.uniformity - 1)
+        rates = [float(Fraction(counts[w], scale)) for w in range(1, max(counts) + 1)]
+        return compound_weighted_law(rates, tail_tol)
 
 
 @dataclass(frozen=True)
@@ -467,10 +470,7 @@ def _pattern(p, where: str):
     edges = p.get("edges")
     if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) for e in edges):
         raise ValidationError(f"{where}.edges: list of vertex pairs required")
-    try:
-        return new_pattern_graph(p["num_vertices"], edges)
-    except ValidationError as e:
-        raise ValidationError(f"{where}.{e}") from None
+    return _prefixed(where, new_pattern_graph, p["num_vertices"], edges)
 
 
 def _multiplex_scenario(n: int, layers: list[UniformHypergraph]) -> MultiplexScenario:
@@ -791,42 +791,17 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _rational_obj(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return x
-
-
 def _moment_report(structure, c: int, rational: bool) -> dict:
-    conv = _rational_obj if rational else float
+    """The exact report, as "p/q" strings when rational, else each value rounded once."""
     if isinstance(structure, Multiplex):
-        mm = moment_matrix(structure, c, rational=rational)
-        return {
-            "kind": "moment_matrix",
-            "c": c,
-            "means": [conv(x) for x in mm.means],
-            "covariance": [[conv(x) for x in row] for row in mm.covariance],
-        }
-    if isinstance(structure, WeightedUniformHypergraph):
-        rep = variance_W(structure, c, rational=rational)
-        return {
-            "kind": "weighted_moments",
-            "c": c,
-            "mean": conv(mean_W(structure, c, rational=rational)),
-            "variance": conv(rep.variance),
-            "u1_term": conv(rep.u1_term),
-            "u2_terms": {str(t): conv(x) for t, x in sorted(rep.u2_terms.items())},
-        }
-    rep = variance_T(structure, c, rational=rational)
-    return {
-        "kind": "moments",
-        "c": c,
-        "mean": conv(mean_T(structure, c, rational=rational)),
-        "variance": conv(rep.variance),
-        "r1_term": conv(rep.r1_term),
-        "r2_terms": {str(t): conv(x) for t, x in sorted(rep.r2_terms.items())},
-        "condition_ratios": {str(t): conv(x) for t, x in sorted(rep.ratios.items())},
-    }
+        kind, rep = "moment_matrix", moment_matrix(structure, c, rational=True)
+    elif isinstance(structure, WeightedUniformHypergraph):
+        kind, rep = "weighted_moments", variance_W(structure, c, rational=True)
+    else:
+        kind, rep = "moments", variance_T(structure, c, rational=True)
+    report = {("condition_ratios" if k == "ratios" else k): v for k, v in asdict(rep).items()}
+    number = (lambda x: f"{x.numerator}/{x.denominator}") if rational else float
+    return {"kind": kind, "c": c, **_each(report, number)}
 
 
 def _emit(obj, out) -> int:

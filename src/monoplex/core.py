@@ -14,7 +14,7 @@ import operator
 from collections.abc import Sized
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,15 @@ def _check_c(c) -> None:
     """c colors: an integer >= 1."""
     if not _is_int(c) or c < 1:
         raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
+
+
+def _prefixed(where: str, build: Callable, *args):
+    """build(*args), its ValidationError led by where and a "." as a file's
+    own field checks lead theirs; args are built first, so no message is led twice."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc}") from None
 
 
 # Vertices are held as int32.
@@ -275,24 +284,26 @@ def new_weighted_hypergraph(
             f"weights: expected {len(edges)} entries to match edges, got {len(weights)}"
         )
     base, order = _canonical(r, n, edges)
-    return weighted_layer(base, [weights[i] for i in order.tolist()], weight_bound)
+    return weighted_layer(base, weights, weight_bound, order)
 
 
 def weighted_layer(
-    base: UniformHypergraph, weights: Sequence[int], weight_bound: int | None = None
+    base: UniformHypergraph, weights: Sequence[int], weight_bound: int | None = None, order=None
 ) -> WeightedUniformHypergraph:
-    """Pair base's edges, in base.edges order, with integer weights in
-    [1, weight_bound]; weight_bound None takes the largest weight."""
-    aligned = tuple(weights)
-    for i, w in enumerate(aligned):
+    """Pair edge j of base.edges with weights[order[j]], or with weights[j]
+    when order is None; the weights are integers in [1, weight_bound], and
+    weight_bound None takes the largest weight. Messages index weights as given."""
+    weights = tuple(weights)
+    for i, w in enumerate(weights):
         if not _is_int(w) or w < 1:
             raise ValidationError(f"weights[{i}]: weight must be an integer >= 1, got {w!r}")
     if weight_bound is not None and (not _is_int(weight_bound) or weight_bound < 1):
         raise ValidationError(f"weight_bound: must be an integer >= 1, got {weight_bound!r}")
-    bound = max(aligned, default=1) if weight_bound is None else weight_bound
-    for i, w in enumerate(aligned):
+    bound = max(weights, default=1) if weight_bound is None else weight_bound
+    for i, w in enumerate(weights):
         if w > bound:
             raise ValidationError(f"weights[{i}]: weight {w} exceeds bound {bound}")
+    aligned = weights if order is None else tuple(weights[i] for i in order.tolist())
     return WeightedUniformHypergraph(base, aligned, bound)
 
 

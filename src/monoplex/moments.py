@@ -10,17 +10,17 @@ pairs e1 = e2, the single edges; weighted counts weigh each pair by
 w(e1)*w(e2).
 
 Each report carries its decomposition (the t = r term plus one term per
-smaller overlap) so callers can inspect the pieces. Every operation takes
-rational=True to switch from float arithmetic (with fsum accumulation) to
-exact Fraction arithmetic.
+smaller overlap) so callers can inspect the pieces. Every moment is computed
+once, exactly, in Fractions: rational=True returns those Fractions, and
+rational=False rounds each finished field once to the nearest float, so no
+step rounds and no c is too large.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
-from math import fsum
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from monoplex.core import (
     Multiplex,
@@ -96,31 +96,31 @@ class WeightedMomentReport:
     u2_terms: Mapping[int, Real]
 
 
-def _inv_pow(c: int, k: int, rational: bool) -> Real:
-    return Fraction(1, c**k) if rational else 1.0 / c**k
+def _each(x, number):
+    """number(v) for each value v in x, through a report's fields, dicts and
+    tuples; number=float rounds each exact field once."""
+    if is_dataclass(x):
+        return type(x)(**_each(vars(x), number))
+    if isinstance(x, dict):
+        return {k: _each(v, number) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(_each(v, number) for v in x)
+    return number(x)
 
 
-def _total(terms: Iterable[Real], rational: bool) -> Real:
-    return sum(terms, Fraction(0)) if rational else fsum(terms)
-
-
-def _pair_terms(
-    sums: Mapping[int, int], r1: int, r2: int, c: int, rational: bool
-) -> dict[int, Real]:
+def _pair_terms(sums: Mapping[int, int], r1: int, r2: int, c: int) -> dict[int, Fraction]:
     """Covariance contribution of the ordered pairs of an r1-uniform and an
     r2-uniform layer, per overlap t in [2, min(r1, r2)]: sums[t] (pairs, or
-    w(e1)*w(e2) sums, at overlap exactly t) * c^-(r1+r2-t-1) * (1 - c^-(t-1))."""
-    one = Fraction(1) if rational else 1.0
-    return {
-        t: sums[t] * _inv_pow(c, r1 + r2 - t - 1, rational) * (one - _inv_pow(c, t - 1, rational))
-        for t in range(2, min(r1, r2) + 1)
-    }
+    w(e1)*w(e2) sums, at overlap exactly t) * c^-(r1+r2-t-1) * (1 - c^-(t-1)),
+    that is sums[t] * (c^(t-1) - 1) / c^(r1+r2-2)."""
+    return {t: Fraction(sums[t] * (c ** (t - 1) - 1), c ** (r1 + r2 - 2)) for t in range(2, min(r1, r2) + 1)}
 
 
 def mean_T(H: UniformHypergraph, c: int, rational: bool = False) -> Real:
     """E T = |E| / c^(r-1) under a uniform random c-coloring."""
     _check_c(c)
-    return H.num_edges * _inv_pow(c, H.uniformity - 1, rational)
+    mean = Fraction(H.num_edges, c ** (H.uniformity - 1))
+    return mean if rational else float(mean)
 
 
 def variance_T(H: UniformHypergraph, c: int, rational: bool = False) -> MomentReport:
@@ -129,11 +129,11 @@ def variance_T(H: UniformHypergraph, c: int, rational: bool = False) -> MomentRe
     _check_c(c)
     r = H.uniformity
     kex = k_exact_all(H)
-    r2 = _pair_terms({**kex, r: H.num_edges}, r, r, c, rational)
+    r2 = _pair_terms({**kex, r: H.num_edges}, r, r, c)
     r1 = r2.pop(r)
-    ratios = {t: kex[t] * _inv_pow(c, 2 * r - t - 1, rational) for t in range(2, r)}
-    variance = _total([r1, *r2.values()], rational)
-    return MomentReport(mean_T(H, c, rational), variance, r1, r2, ratios)
+    ratios = {t: Fraction(kex[t], c ** (2 * r - t - 1)) for t in range(2, r)}
+    report = MomentReport(mean_T(H, c, rational=True), r1 + sum(r2.values()), r1, r2, ratios)
+    return report if rational else _each(report, float)
 
 
 def covariance_T(
@@ -144,10 +144,10 @@ def covariance_T(
     shared edges, q1_term; it is zero when the uniformities differ."""
     _check_c(c)
     r1, r2 = H1.uniformity, H2.uniformity
-    q2 = _pair_terms(k_cross_all(H1, H2), r1, r2, c, rational)
-    q1 = q2.pop(r1) if r1 == r2 else (Fraction(0) if rational else 0.0)
-    covariance = _total([q1, *q2.values()], rational)
-    return CovarianceReport(covariance, q1, q2)
+    q2 = _pair_terms(k_cross_all(H1, H2), r1, r2, c)
+    q1 = q2.pop(r1) if r1 == r2 else Fraction(0)
+    report = CovarianceReport(q1 + sum(q2.values()), q1, q2)
+    return report if rational else _each(report, float)
 
 
 def moment_matrix(M: Multiplex, c: int, rational: bool = False) -> MomentMatrixReport:
@@ -160,17 +160,18 @@ def moment_matrix(M: Multiplex, c: int, rational: bool = False) -> MomentMatrixR
     matrix = [[None] * len(layers) for _ in layers]
     for i, Hi in enumerate(layers):
         for j in range(i, len(layers)):
-            pairs = _pair_sums(sums[i], sums[j])
-            terms = _pair_terms(pairs, Hi.uniformity, layers[j].uniformity, c, rational)
-            matrix[i][j] = matrix[j][i] = _total(terms.values(), rational)
-    means = tuple(mean_T(layer, c, rational) for layer in layers)
-    return MomentMatrixReport(means, tuple(tuple(row) for row in matrix))
+            terms = _pair_terms(_pair_sums(sums[i], sums[j]), Hi.uniformity, layers[j].uniformity, c)
+            matrix[i][j] = matrix[j][i] = sum(terms.values())
+    means = tuple(mean_T(layer, c, rational=True) for layer in layers)
+    report = MomentMatrixReport(means, tuple(tuple(row) for row in matrix))
+    return report if rational else _each(report, float)
 
 
 def mean_W(WH: WeightedUniformHypergraph, c: int, rational: bool = False) -> Real:
     """E W = (sum of edge weights) / c^(r-1)."""
     _check_c(c)
-    return sum(WH.weights) * _inv_pow(c, WH.base.uniformity - 1, rational)
+    mean = Fraction(sum(WH.weights), c ** (WH.base.uniformity - 1))
+    return mean if rational else float(mean)
 
 
 def variance_W(
@@ -181,13 +182,13 @@ def variance_W(
     _check_c(c)
     r = WH.base.uniformity
     sums = weighted_pair_sums_all(WH)
-    u2 = _pair_terms({**sums, r: sum(w * w for w in WH.weights)}, r, r, c, rational)
+    u2 = _pair_terms({**sums, r: sum(w * w for w in WH.weights)}, r, r, c)
     u1 = u2.pop(r)
-    variance = _total([u1, *u2.values()], rational)
-    return WeightedMomentReport(mean_W(WH, c, rational), variance, u1, u2)
+    report = WeightedMomentReport(mean_W(WH, c, rational=True), u1 + sum(u2.values()), u1, u2)
+    return report if rational else _each(report, float)
 
 
 def condition_ratios(H: UniformHypergraph, c: int, rational: bool = False) -> ConditionReport:
     """ratios[t] = k_exact(t, H) / c^(2r-t-1) for t in [2, r-1]; empty for
     r = 2. variance_T's report carries the same ratios."""
-    return ConditionReport(variance_T(H, c, rational).ratios)
+    return ConditionReport(variance_T(H, c, rational=rational).ratios)

@@ -24,6 +24,7 @@ from monoplex.core import (
     WeightedUniformHypergraph,
     _check_sizes,
     _is_int,
+    _prefixed,
     new_hypergraph,
     new_multiplex,
     new_weighted_hypergraph,
@@ -51,7 +52,7 @@ def _layer_fields(obj: dict, where: str) -> tuple[Any, Any, list | np.ndarray]:
         raise ValidationError(f"{where}: {fault} 'edge_data' (exactly one is required)")
     if "edges" in obj:
         return r, n, obj["edges"]
-    _check_sizes(r, n)  # as for an edge list; the row length is read from r
+    _prefixed(where, _check_sizes, r, n)  # as for an edge list; the row length is read from r
     data, where = obj["edge_data"], f"{where}.edge_data"
     if not isinstance(data, str):
         raise ValidationError(f"{where}: expected a base64 string, got {type(data).__name__}")
@@ -74,7 +75,7 @@ def hypergraph_to_obj(H: UniformHypergraph) -> dict:
 
 
 def hypergraph_from_obj(obj: dict, where: str = "hypergraph") -> UniformHypergraph:
-    return new_hypergraph(*_layer_fields(obj, where))
+    return _prefixed(where, new_hypergraph, *_layer_fields(obj, where))
 
 
 def multiplex_to_obj(M: Multiplex) -> dict:
@@ -89,9 +90,8 @@ def multiplex_from_obj(obj: dict, where: str = "multiplex") -> Multiplex:
     layers = _require(obj, "layers", where)
     if not isinstance(layers, list):
         raise ValidationError(f"{where}.layers: expected a list")
-    M = new_multiplex(
-        hypergraph_from_obj(layer, f"{where}.layers[{i}]") for i, layer in enumerate(layers)
-    )
+    layers = [hypergraph_from_obj(layer, f"{where}.layers[{i}]") for i, layer in enumerate(layers)]
+    M = _prefixed(where, new_multiplex, layers)
     n = obj.get("num_vertices", M.num_vertices)
     if not _is_int(n) or n != M.num_vertices:
         raise ValidationError(f"{where}.num_vertices: {n!r} differs from the layers' {M.num_vertices}")
@@ -110,8 +110,8 @@ def weighted_to_obj(WH: WeightedUniformHypergraph) -> dict:
 
 
 def weighted_from_obj(obj: dict, where: str = "weighted_hypergraph") -> WeightedUniformHypergraph:
-    r, n, edges = _layer_fields(obj, where)
-    return new_weighted_hypergraph(r, n, edges, _require(obj, "weights", where), obj.get("weight_bound"))
+    args = (*_layer_fields(obj, where), _require(obj, "weights", where), obj.get("weight_bound"))
+    return _prefixed(where, new_weighted_hypergraph, *args)
 
 
 _READERS = {

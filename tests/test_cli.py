@@ -8,6 +8,7 @@ import platform
 import struct
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import exp
 from pathlib import Path
 
@@ -42,13 +43,33 @@ BENCH = Path(__file__).parent.parent / "bench"
 SPANS = BENCH / "spans.py"
 
 
+# Inputs of the moments goldens, moments-NAME.rational.json: (file object, c).
+TRIPLES = {
+    "kind": "uniform_hypergraph",
+    "uniformity": 3,
+    "num_vertices": 6,
+    "edges": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [2, 3, 4], [3, 4, 5]],
+}
+PATH5 = {"kind": "uniform_hypergraph", "uniformity": 2, "num_vertices": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
+MOMENT_INPUTS = {
+    "uniform": (TRIPLES, 3),
+    "multiplex": ({"kind": "multiplex", "num_vertices": 6, "layers": [PATH5, TRIPLES]}, 4),
+    "weighted": ({**TRIPLES, "kind": "weighted_hypergraph", "weights": [1, 2, 3, 1, 2]}, 5),
+}
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def edge_data(rows):
+    """The "edge_data" field of an edge list, valid or not."""
+    return base64.b64encode(b"".join(struct.pack("<i", v) for e in rows for v in e)).decode("ascii")
+
+
 def packed(H):
     """The "edge_data" field of H, packed vertex by vertex from its edge tuples."""
-    return base64.b64encode(b"".join(struct.pack("<i", v) for e in H.edges for v in e)).decode("ascii")
+    return edge_data(H.edges)
 
 
 def file_objects(structure, edges):
@@ -309,6 +330,49 @@ class TestMoments:
         assert run_cli("moments", f, "--c", 2) == 2
         err = capsys.readouterr().err
         assert f"{f}.{message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["edges", "edge_data"])
+    @pytest.mark.parametrize(
+        "kind, layer, edges, weights, message",
+        [
+            ("multiplex", 2, [[-1, 1]], None, "layers[1].edges[0][0]: vertex -1 out of range [0, 3)"),
+            ("multiplex", 1, [[0], [1]], None, "layers[1].uniformity: must be an integer >= 2, got 1"),
+            ("weighted_hypergraph", 2, [[0, 1], [1, 2]], [0, 1], "weights[0]: weight must be an integer >= 1, got 0"),
+            # the index is the file's, not that of the sorted edges
+            ("weighted_hypergraph", 2, [[1, 2], [0, 1]], [1, 0], "weights[1]: weight must be an integer >= 1, got 0"),
+        ],
+        ids=["vertex", "uniformity", "weight", "weight-unsorted"],
+    )
+    def test_structure_errors_name_file_and_field(self, tmp_path, capsys, form, kind, layer, edges, weights, message):
+        fields = {"edges": edges} if form == "edges" else {"edge_data": edge_data(edges)}
+        bad = {"kind": "uniform_hypergraph", "uniformity": layer, "num_vertices": 3, **fields}
+        if kind == "multiplex":
+            good = {"kind": "uniform_hypergraph", "uniformity": 2, "num_vertices": 3, "edges": [[0, 1]]}
+            obj = {"kind": "multiplex", "num_vertices": 3, "layers": [good, bad]}
+        else:
+            obj = {**bad, "kind": kind, "weights": weights}
+        f = tmp_path / "s.json"
+        write_json(f, obj)
+        assert run_cli("moments", f, "--c", 2) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {f}.{message}\n"
+
+    @pytest.mark.parametrize("c", [10**155, 10**200], ids=["10^155", "10^200"])
+    def test_colors_past_float_range(self, tmp_path, capsys, c):
+        # c^2 is past float range: the float report holds the exact values
+        # rounded once, 3e-309 and smaller at c = 10^155, 0.0 at c = 10^200
+        f = tmp_path / "ap.json"
+        assert run_cli("construct", "ap", "--n", 12, "--r", 3, "--out", f) == 0
+        capsys.readouterr()
+        assert run_cli("moments", f, "--c", c) == 0
+        approx = json.loads(capsys.readouterr().out)
+        assert run_cli("moments", f, "--c", c, "--rational") == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert Fraction(exact["mean"]) == Fraction(30, c**2)  # 30 three-term APs in [1, 12]
+        for field in ("mean", "variance", "r1_term"):
+            assert approx[field] == float(Fraction(exact[field]))
+        for field in ("r2_terms", "condition_ratios"):
+            assert approx[field] == {t: float(Fraction(x)) for t, x in exact[field].items()}
 
     def test_overlaps_counted_once_per_report(self, tmp_path, monkeypatch, capsys):
         calls = Counter()
@@ -615,6 +679,21 @@ class TestCompare:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_exact_law_with_colors_past_float_range(self, tmp_path):
+        # the derived target reads each layer's mean |E| / c^2 = 10 / 10^400
+        spec = make_spec(
+            scenario="appendix-a",
+            params={},
+            c_rule={"kind": "fixed", "value": 10**200},
+            sizes=(6,),
+            targets=({"kind": "derived", "label": "pois-mean"},),
+        )
+        cfg, out = tmp_path / "spec.json", tmp_path / "run"
+        write_json(cfg, spec_to_obj(spec))
+        assert run_cli("compare", "--config", cfg, "--out", out) == 0
+        row = (out / "results.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == ["6", str(10**200), "pois-mean"]
+
     def test_degenerate_point_mass(self, tmp_path):
         spec_obj = spec_to_obj(
             make_spec(
@@ -744,7 +823,9 @@ class TestCompare:
 class TestGoldenOutputs:
     """results.csv pinned byte for byte. The files in tests/data/golden came
     from `monoplex compare --preset NAME --replicates 4096` and from
-    `monoplex compare --config SPEC` on the exact-law specs stored beside them."""
+    `monoplex compare --config SPEC` on the exact-law specs stored beside them;
+    the moments-NAME.rational.json reports from `monoplex moments FILE --c C
+    --rational` on MOMENT_INPUTS."""
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_preset(self, name, tmp_path):
@@ -757,6 +838,15 @@ class TestGoldenOutputs:
         out = tmp_path / "run"
         assert run_cli("compare", "--config", GOLDEN / f"{name}.json", "--out", out) == 0
         assert (out / "results.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("name", MOMENT_INPUTS)
+    def test_rational_moment_report(self, name, tmp_path, capsys):
+        obj, c = MOMENT_INPUTS[name]
+        f = tmp_path / "in.json"
+        write_json(f, obj)
+        assert run_cli("moments", f, "--c", c, "--rational") == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"moments-{name}.rational.json").read_bytes()
 
 
 class TestSpecValidation:

@@ -220,17 +220,19 @@ class TestArrayLoader:
     @given(int32_edge_lists())
     @settings(max_examples=600, deadline=None)
     def test_edge_data_loads_like_edge_list(self, case):
-        # Both file forms give the reference's layer or its message; a
-        # weighted file keeps each weight with its edge.
+        # Both file forms give the reference's layer or its message, led by
+        # the file's name; a weighted file keeps each weight with its edge.
         r, n, rows = case
         want = load_outcome(new_hypergraph_reference, r, n, rows)
+        if isinstance(want, str):
+            want = want.replace("ValidationError: ", "ValidationError: f.json.", 1)
         weights = list(range(1, len(rows) + 1))
         by_edge = {tuple(sorted(e)): w for e, w in zip(rows, weights)}
         for key, value in (("edges", rows), ("edge_data", edge_data(rows))):
 
             def read(kind, **extra):
                 obj = {"kind": kind, "uniformity": r, "num_vertices": n, key: value, **extra}
-                return load_outcome(lambda *_: structure_from_obj(obj), r, n, rows)
+                return load_outcome(lambda *_: structure_from_obj(obj, "f.json"), r, n, rows)
 
             assert read("uniform_hypergraph") == want
             WH = read("weighted_hypergraph", weights=weights)

@@ -1,6 +1,7 @@
 """Closed-form moments vs exact enumeration over all colorings."""
 
 import itertools
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import comb
 
@@ -333,3 +334,51 @@ class TestConditionRatios:
         assert values[2] < 0.02
         # Roughly halves per doubling.
         assert values[2] < 0.6 * values[1]
+
+
+def _leaves(x):
+    """The numbers of a report, field by field, through dicts and tuples."""
+    if is_dataclass(x):
+        for f in fields(x):
+            yield from _leaves(getattr(x, f.name))
+    elif isinstance(x, dict):
+        for t in sorted(x):
+            yield from _leaves(x[t])
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from _leaves(v)
+    else:
+        yield x
+
+
+STAR200 = appendix_star_hypergraph(200)
+MIXED = new_multiplex(
+    [new_hypergraph(2, 5, [[0, 1], [1, 2], [2, 3]]), new_hypergraph(3, 5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])]
+)
+WEIGHTED = new_weighted_hypergraph(3, 5, [[0, 1, 2], [0, 1, 3], [2, 3, 4], [1, 2, 3]], [1, 2, 3, 7])
+
+
+class TestRoundedOnce:
+    """rational=False gives the exact moments each rounded once: every float
+    field is float() of the same field with rational=True."""
+
+    @pytest.mark.parametrize("c", [7, 200, 2**60], ids=["7", "200", "2^60"])  # c^(r-1) > 2^53 at 2^60
+    @pytest.mark.parametrize(
+        "moment, structure",
+        [
+            (mean_T, STAR200),
+            (variance_T, STAR200),
+            (condition_ratios, STAR200),
+            (moment_matrix, MIXED),
+            (lambda M, c, **kw: covariance_T(*M.layers, c, **kw), MIXED),
+            (mean_W, WEIGHTED),
+            (variance_W, WEIGHTED),
+        ],
+        ids=["mean_T", "variance_T", "condition_ratios", "moment_matrix", "covariance_T", "mean_W", "variance_W"],
+    )
+    def test_float_fields_are_the_rounded_fractions(self, moment, structure, c):
+        approx = list(_leaves(moment(structure, c)))
+        exact = list(_leaves(moment(structure, c, rational=True)))
+        assert all(type(x) is float for x in approx)
+        assert all(type(x) is Fraction for x in exact)
+        assert approx == [float(x) for x in exact]
