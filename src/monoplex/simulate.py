@@ -9,18 +9,17 @@ are pure functions of a slice's rows, so the law depends only on
 backend consumes the block's color matrix identically, so backend choice
 never changes results either.
 
-Same-color vertex pairs are listed by sorting each row's packed keys
-color*n + v once (unique keys, so this is the stable argsort's permutation)
-and walking the sorted rows by span: the pairs at span s are the positions
-whose s predecessors share their color. The AP kernel extends these pairs
-to progressions. The pair-class backend packs each monochromatic r-subset
-of the walk, for every r >= 2 (first and last at span s, any r - 2
-positions between), into a base-n key and tests it against the layer's
-sorted edge keys. One slice may hold PAIR_BUDGET * CHUNK // BLOCK_SIZE
-pairs, and as many r-subsets, so whether a run is refused depends on its
-inputs alone. Auto sends a layer of at least 500 edges to pair-class when
-the expected monochromatic r-subsets of a row, C(n, r) / c^(r-1), are below
-an eighth of its edges.
+One listing gives the monochromatic r-subsets of every r >= 2: each row's
+packed keys color*n + v are sorted once (unique keys, so this is the stable
+argsort's permutation) and walked by span; a position whose s predecessors
+share its color is a subset's last vertex, the position s back its first
+and any r - 2 between its middle. The AP kernel extends each pair (r = 2)
+to a progression; the pair-class backend packs each r-subset into a base-n
+key and tests it against the layer's sorted edge keys. One slice may hold
+PAIR_BUDGET * CHUNK // BLOCK_SIZE pairs, and as many r-subsets, so whether
+a run is refused depends on its inputs alone. Auto sends a layer of at
+least 500 edges to pair-class when the expected monochromatic r-subsets of
+a row, C(n, r) / c^(r-1), are below an eighth of its edges.
 Every backend sums weighted totals exactly in int64; a layer whose weight
 sum does not fit in int64 is refused.
 
@@ -64,9 +63,9 @@ BLOCK_SIZE = 4096
 CHUNK = BLOCK_SIZE // 8
 
 # Same-color pairs the slices of one block may hold together; one slice may
-# hold PAIR_BUDGET * CHUNK // BLOCK_SIZE of them. Listing them and testing
-# them against a layer or extending them to APs peaks near 46 bytes per
-# pair, so even a whole block at the budget would stay under 2 GiB.
+# hold PAIR_BUDGET * CHUNK // BLOCK_SIZE of them. Listing them peaks near 30
+# bytes per pair, testing them against a layer near 35 (41 per triple), the
+# AP kernel near 46, so even a whole block at the budget stays under 2 GiB.
 PAIR_BUDGET = 40_000_000
 
 # Colors are drawn as int32 in [1, c], so c + 1 must fit in int32; a wider
@@ -153,13 +152,14 @@ def _dense_T(colors: np.ndarray, edges: np.ndarray, weights: np.ndarray | None) 
     return out
 
 
-def _packed_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """Each row's vertices packed base n into one int64 key: u*n + v for a
-    pair, ((u*n + v)*n + w) for a triple. Rows in ascending vertex order give
-    keys in lexicographic row order."""
-    keys = edges[:, 0].astype(np.int64)
-    for k in range(1, edges.shape[1]):
-        keys = keys * n + edges[:, k]
+def _packed_keys(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Vertex columns packed base n into one int64 key per row: u*n + v for
+    a pair, ((u*n + v)*n + w) for a triple. Rows in ascending vertex order
+    give keys in lexicographic row order."""
+    keys = columns[0].astype(np.int64)
+    for column in columns[1:]:
+        keys *= n
+        keys += column
     return keys
 
 
@@ -263,28 +263,10 @@ def _spans(same: np.ndarray, B: int, n: int) -> Iterator[tuple[int, np.ndarray]]
         s += 1
 
 
-def _same_color_pairs(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All unordered same-color vertex pairs of every replicate row, as
-    (rows, u, v) with u < v."""
-    n = colors.shape[1]
-    keys, width, spans = _color_walk(colors)
-    rows_parts, u_parts, v_parts = [], [], []
-    for s, idx in spans:
-        rows_parts.append(idx // n)
-        u_parts.append(keys[idx - s])
-        v_parts.append(keys[idx])
-    if not rows_parts:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    u = (np.concatenate(u_parts) % width).astype(np.int64)
-    v = (np.concatenate(v_parts) % width).astype(np.int64)
-    return np.concatenate(rows_parts), u, v
-
-
-def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, np.ndarray]:
+def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Every monochromatic r-subset (r >= 2) of a color walk's rows, each
-    once: (packed, last), its vertices in ascending order packed base n, and
-    the flat sorted position of its last vertex (its row is last // n).
+    once: (rows, columns), the replicate row of each subset and r int64
+    vertex arrays, columns[k] holding the k-th smallest vertex of each.
 
     At span s, a position p whose s predecessors share its color is the last
     element, p - s the first, and any r - 2 of the s - 1 positions between
@@ -295,7 +277,7 @@ def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tu
     """
     budget = _slice_pair_budget()
     held = 0
-    packed, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    parts = [[np.empty(0, dtype=np.int64)] for _ in range(r + 1)]  # r columns, then rows
     for s, idx in spans:
         if s < r - 1:
             continue
@@ -306,20 +288,21 @@ def _monochromatic_subsets(n: int, r: int, keys: np.ndarray, width, spans) -> tu
                 f"exceed the budget of {budget} per slice"
             )
         middles = np.array(list(itertools.combinations(range(1, s), r - 2)), dtype=np.int64)
-        first = (idx - s)[:, None]
-        key = (keys[first] % width).astype(np.int64)
-        for k in range(r - 2):
-            key = key * n + keys[first + middles[:, k]] % width
-        key = key * n + (keys[idx] % width)[:, None]
-        packed.append(key.ravel())
-        lasts.append(np.repeat(idx, len(middles)))
-    return np.concatenate(packed), np.concatenate(lasts)
+        first = idx - s
+        between = [(first[:, None] + middles[:, k]).ravel() for k in range(r - 2)]
+        if len(middles) > 1:  # a pair, or one choice of middle, needs no repeat
+            first, idx = np.repeat(first, len(middles)), np.repeat(idx, len(middles))
+        for part, pos in zip(parts, (first, *between, idx)):
+            part.append(keys[pos] % width)
+        parts[r].append(idx // n)
+    rows = np.concatenate(parts.pop(), dtype=np.int64)  # popped pieces are freed once joined
+    return rows, tuple(np.concatenate(parts.pop(0), dtype=np.int64) for _ in range(r))
 
 
 def _pair_class_tables(edges: np.ndarray, n: int, weights: np.ndarray | None):
     """A layer's edges as sorted packed keys, with their weights in the same
     order."""
-    keys = _packed_keys(edges, n)
+    keys = _packed_keys(edges.T, n)
     ksort = np.argsort(keys)
     return keys[ksort], None if weights is None else weights[ksort]
 
@@ -414,13 +397,15 @@ def _layer_counter(
 
     def count(colors: np.ndarray) -> np.ndarray:
         B = colors.shape[0]
-        found = {}  # uniformity -> (packed keys, last positions)
+        found = {}  # uniformity -> (rows, packed keys) of its subsets
         if walked:
             keys, width, spans = _color_walk(colors)
             if len(walked) > 1:
                 spans = list(spans)  # walked once, read per uniformity
             for r in walked:
-                found[r] = _monochromatic_subsets(n, r, keys, width, spans)
+                rows, columns = _monochromatic_subsets(n, r, keys, width, spans)
+                found[r] = rows, _packed_keys(columns, n)
+                del columns  # the layers test only the packed keys
         cols = []
         for kind, r, edges, w, tables in plans:
             if kind == "dense":
@@ -428,9 +413,9 @@ def _layer_counter(
             elif kind == "leading-pair":
                 cols.append(_leading_pair_T(colors, edges, tables, w))
             else:
-                packed, last = found[r]
+                rows, packed = found[r]
                 ok, hit_weights = _edge_hits(tables, packed)
-                cols.append(_row_totals(last[ok] // n, hit_weights, B))
+                cols.append(_row_totals(rows[ok], hit_weights, B))
         return np.stack(cols, axis=1)
 
     return count, tuple(records)
@@ -518,7 +503,7 @@ def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
         return _empirical(Counter({(ap_count_closed_form(n, r),): cfg.replicates}), 1, cfg)
 
     def count(colors):
-        rows, u, v = _same_color_pairs(colors)
+        rows, (u, v) = _monochromatic_subsets(n, 2, *_color_walk(colors))
         step = v - u
         fits = np.flatnonzero(v + (r - 2) * step < n)
         rows, step = rows[fits], step[fits]
@@ -556,15 +541,18 @@ def simulate_correlated_er_T(params: CorrelatedErParams, cfg: SimulationConfig) 
     p, p12 = params.p, params.p12
     pvals = [p12, p - p12, p - p12, 1.0 - 2.0 * p + p12]
     # The class binomials of one coloring sum to at most C(n, r), so checking
-    # that one value bounds every total.
+    # that one value bounds every total. Class sizes are the runs of each
+    # row's sorted colors: no array of c class sizes per row is built.
     binom = _binomial_array(np.arange(n + 1), r)
 
     def monochromatic(colors):
-        B = colors.shape[0]
-        offsets = np.arange(B, dtype=np.int64)[:, None] * cfg.c
-        flat = (colors.astype(np.int64) - 1) + offsets
-        class_sizes = np.bincount(flat.ravel(), minlength=B * cfg.c).reshape(B, cfg.c)
-        return binom[class_sizes].sum(axis=1)[:, None]
+        colors = np.sort(colors, axis=1).ravel()
+        new = np.concatenate(([True], colors[1:] != colors[:-1]))
+        new[::n] = True  # every row starts a class
+        starts = np.flatnonzero(new)
+        sizes = np.diff(starts, append=len(colors))
+        row_starts = np.searchsorted(starts, np.arange(0, len(colors), n))
+        return np.add.reduceat(binom[sizes], row_starts)[:, None]
 
     def thin(rng, mono):
         draws = rng.multinomial(mono[:, 0], pvals)

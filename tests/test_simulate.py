@@ -45,7 +45,6 @@ from monoplex.simulate import (
     _monochromatic_subsets,
     _partition_count,
     _partitions,
-    _same_color_pairs,
     _sorted_keys,
     exact_law,
     exact_law_weighted,
@@ -255,6 +254,13 @@ def color_blocks(draw):
     return np.array(rows, dtype=np.int32).reshape(B, n)
 
 
+def same_color_pairs(colors):
+    """(rows, u, v) with u < v for every same-color pair of every row, read
+    from the one listing of monochromatic subsets at r = 2."""
+    rows, (u, v) = _monochromatic_subsets(colors.shape[1], 2, *_color_walk(colors))
+    return rows, u, v
+
+
 class TestSameColorPairs:
     @given(color_blocks())
     @settings(max_examples=200, deadline=None)
@@ -267,7 +273,7 @@ class TestSameColorPairs:
             for v in range(u + 1, n)
             if colors[b, u] == colors[b, v]
         }
-        rows, u, v = _same_color_pairs(colors)
+        rows, u, v = same_color_pairs(colors)
         got = list(zip(rows.tolist(), u.tolist(), v.tolist()))
         assert len(got) == len(set(got))
         assert set(got) == expect
@@ -278,35 +284,44 @@ class TestSameColorPairs:
         for n, dtype in ((2, np.uint32), (3, np.int64)):
             colors = np.full((1, n), top, dtype=np.int32)
             assert _sorted_keys(colors)[0].dtype == dtype
-            rows, u, v = _same_color_pairs(colors)
+            rows, u, v = same_color_pairs(colors)
             expect = {(a, b) for a in range(n) for b in range(a + 1, n)}
             assert set(zip(u.tolist(), v.tolist())) == expect
 
     def test_pair_budget(self, monkeypatch):
         # one call lists one slice, which may hold PAIR_BUDGET * CHUNK // BLOCK_SIZE pairs
         monkeypatch.setattr(simulate, "PAIR_BUDGET", 10 * BLOCK_SIZE // CHUNK)
-        assert len(_same_color_pairs(np.full((1, 5), 3, dtype=np.int32))[0]) == 10
+        assert len(same_color_pairs(np.full((1, 5), 3, dtype=np.int32))[0]) == 10
         with pytest.raises(ResourceBoundError):
-            _same_color_pairs(np.full((1, 6), 3, dtype=np.int32))
+            same_color_pairs(np.full((1, 6), 3, dtype=np.int32))
         with pytest.raises(ResourceBoundError):
-            _same_color_pairs(np.full((2, 5), 70_000, dtype=np.int32))
+            same_color_pairs(np.full((2, 5), 70_000, dtype=np.int32))
 
     def test_pair_budget_fits_in_2_gib(self):
         # A 4096-row block on 100 vertices at c = 20 holds about 10^6 pairs;
         # its color matrix is small next to them, so peak bytes over pairs is
         # the per-pair cost of listing pairs and of the AP kernel. Slices are
         # counted one at a time, so one slice alone gives the cost of a
-        # slice; the pairs of one slice never exceed PAIR_BUDGET.
+        # slice; the pairs of one slice never exceed PAIR_BUDGET, nor do its
+        # r-subsets, so pair-class pays per listed subset: on K100 and on
+        # every triple of 40 vertices at c = 4 each one is an edge.
         n, c, seed = 100, 20, 5
         colors = simulate._block_rng(seed, 0).integers(1, c + 1, size=(BLOCK_SIZE, n), dtype=np.int32)
         pairs = sum(int(k) * (int(k) - 1) // 2 for row in colors for k in np.bincount(row))
         assert 900_000 < pairs < 1_100_000
         slice_pairs = sum(int(k) * (int(k) - 1) // 2 for row in colors[:CHUNK] for k in np.bincount(row))
+        k100, _ = _layer_counter([complete_graph(n)], [None], n, c, "pair-class")
+        few = simulate._block_rng(seed, 1).integers(1, 5, size=(CHUNK, 40), dtype=np.int32)
+        triples = sum(comb(int(k), 3) for row in few for k in np.bincount(row))
+        every_triple = new_hypergraph(3, 40, itertools.combinations(range(40), 3))
+        k40, _ = _layer_counter([every_triple], [None], 40, 4, "pair-class")
         per_pair = []
         for run, held in (
-            (lambda: _same_color_pairs(colors), pairs),
+            (lambda: same_color_pairs(colors), pairs),
             (lambda: simulate_ap_T(n, 3, new_simulation_config(c, BLOCK_SIZE, seed)), pairs),
             (lambda: simulate_ap_T(n, 3, new_simulation_config(c, CHUNK, seed)), slice_pairs),
+            (lambda: k100(colors), pairs),
+            (lambda: k40(few), triples),
         ):
             tracemalloc.start()
             try:
@@ -326,15 +341,9 @@ class TestSameColorPairs:
             for color in set(colors[b].tolist()):
                 members = np.flatnonzero(colors[b] == color).tolist()
                 expect += [(b, subset) for subset in itertools.combinations(members, r)]
-        keys, width, spans = _color_walk(colors)
-        packed, last = _monochromatic_subsets(n, r, keys, width, spans)
-        got = []
-        for key, row in zip(packed.tolist(), (last // n).tolist()):
-            digits = []
-            for _ in range(r):
-                key, d = divmod(key, n)
-                digits.append(d)
-            got.append((row, tuple(reversed(digits))))
+        rows, columns = _monochromatic_subsets(n, r, *_color_walk(colors))
+        assert len(columns) == r and all(column.dtype == np.int64 for column in columns)
+        got = list(zip(rows.tolist(), zip(*(column.tolist() for column in columns))))
         # each subset once, in ascending vertex order
         assert sorted(got) == sorted(expect)
 
@@ -344,7 +353,7 @@ class TestSameColorPairs:
         # whichever of them are edges.
         monkeypatch.setattr(simulate, "PAIR_BUDGET", 30 * BLOCK_SIZE // CHUNK)
         colors = np.full((1, 7), 3, dtype=np.int32)
-        assert len(_same_color_pairs(colors)[0]) == 21
+        assert len(same_color_pairs(colors)[0]) == 21
         for r in (3, 4):
             for edges in ([list(range(r))], list(itertools.combinations(range(7), r))):
                 count, _ = _layer_counter([new_hypergraph(r, 7, edges)], [None], 7, 3, "pair-class")
@@ -631,6 +640,9 @@ class TestSimulateAp:
             fast = simulate_ap_T(n, r, cfg)
             generic = simulate_T(new_multiplex([H]), cfg)
             assert fast.law == generic.law, (n, r, c)
+            # the AP kernel and pair-class read the same subset listing
+            pair_class = simulate_T(new_multiplex([H]), cfg, backend="pair-class")
+            assert pair_class.law == fast.law, (n, r, c)
             monkeypatch.setattr(simulate, "CHUNK", 300)
             assert simulate_ap_T(n, r, cfg).law == fast.law, (n, r, c)
 
@@ -694,6 +706,19 @@ class TestCorrelatedErSimulation:
         monkeypatch.setattr(simulate, "CHUNK", 300)
         b = simulate_correlated_er_T(params, cfg)
         assert a.law == b.law
+
+    def test_memory_does_not_grow_with_colors(self):
+        # One slice of 512 rows on 20 vertices at c = 20,000: a (rows, c)
+        # array of class sizes alone would take 78 MiB.
+        params = new_correlated_er_params(20, 2, 0.3, 0.1)
+        cfg = new_simulation_config(20_000, CHUNK, 3)
+        tracemalloc.start()
+        try:
+            simulate_correlated_er_T(params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def schedule_cases():
