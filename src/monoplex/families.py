@@ -238,8 +238,7 @@ def copies_hypergraph(G: UniformHypergraph, F: UniformHypergraph) -> CopiesResul
 def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
     """Hypergraph on the re-indexed elements of A whose edges are the r-term
     arithmetic progressions inside A (common difference d >= 1, unordered)."""
-    if r < 3:
-        raise ValidationError(f"r: must be >= 3, got {r}")
+    _check_ap_r(r)
     elems = list(A)
     if any(
         not isinstance(a, int) or isinstance(a, bool) or a < 1 for a in elems
@@ -274,8 +273,17 @@ def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
     return UniformHypergraph(r, n, np.concatenate(blocks))
 
 
+def _check_ap_r(r) -> None:
+    """r-term progressions: r an integer >= 3."""
+    if not _is_int(r) or r < 3:
+        raise ValidationError(f"r: must be an integer >= 3, got {r!r}")
+
+
 def ap_count_closed_form(n: int, r: int) -> int:
     """Number of r-term APs in [1, n]: sum over d >= 1 of (n - (r-1)d)."""
+    if not _is_int(n) or n < 0:
+        raise ValidationError(f"n: must be an integer >= 0, got {n!r}")
+    _check_ap_r(r)
     dmax = (n - 1) // (r - 1)
     return dmax * n - (r - 1) * dmax * (dmax + 1) // 2
 

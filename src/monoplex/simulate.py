@@ -13,11 +13,12 @@ One listing gives the monochromatic r-subsets of every r >= 2: each row's
 packed keys color*n + v are sorted once (unique keys, so this is the stable
 argsort's permutation) and walked by span; a position whose s predecessors
 share its color is a subset's last vertex, the position s back its first
-and any r - 2 between its middle. The AP kernel extends each pair (r = 2)
-to a progression; the pair-class backend packs each r-subset into a base-n
-key and tests it against the layer's sorted edge keys. One slice may hold
-PAIR_BUDGET * CHUNK // BLOCK_SIZE pairs, and as many r-subsets, so whether
-a run is refused depends on its inputs alone. Auto sends a layer of at
+and any r - 2 between its middle. The AP kernel reads the pairs at span
+r - 1 or more as a progression's first and last terms; the pair-class
+backend packs each r-subset into a base-n key and tests it against the
+layer's sorted edge keys. One slice may hold PAIR_BUDGET * CHUNK //
+BLOCK_SIZE pairs, and as many r-subsets, so whether a run is refused
+depends on its inputs alone. Auto sends a layer of at
 least 500 edges to pair-class when the expected monochromatic r-subsets of
 a row, C(n, r) / c^(r-1), are below an eighth of its edges.
 Every backend sums weighted totals exactly in int64; a layer whose weight
@@ -65,7 +66,7 @@ CHUNK = BLOCK_SIZE // 8
 # Same-color pairs the slices of one block may hold together; one slice may
 # hold PAIR_BUDGET * CHUNK // BLOCK_SIZE of them. Listing them peaks near 30
 # bytes per pair, testing them against a layer near 35 (41 per triple), the
-# AP kernel near 46, so even a whole block at the budget stays under 2 GiB.
+# AP kernel near 34, so even a whole block at the budget stays under 2 GiB.
 PAIR_BUDGET = 40_000_000
 
 # Colors are drawn as int32 in [1, c], so c + 1 must fit in int32; a wider
@@ -492,23 +493,26 @@ def simulate_W(
 def simulate_ap_T(n: int, r: int, cfg: SimulationConfig) -> EmpiricalLaw:
     """Empirical law of the count of monochromatic r-term APs in [1, n].
 
-    Walks each same-color pair (u, v) as the first two AP terms and checks
-    the remaining terms; every monochromatic AP is generated exactly once by
-    its smallest two elements. Bit-identical to simulate_T on
-    ap_hypergraph(range(1, n+1), r) under the same config.
+    A monochromatic AP's r - 2 middle terms share the color of its first
+    term u and last term w, so w sits at span r - 1 or more after u in the
+    color walk. Only those outer pairs are listed; a pair whose gap w - u is
+    a multiple of r - 1 fixes the step, and its middle terms are tested.
+    Every monochromatic AP is found exactly once, from its first and last
+    terms. Bit-identical to simulate_T on ap_hypergraph(range(1, n+1), r)
+    under the same config.
     """
-    if r < 3:
-        raise ValidationError(f"r: must be >= 3, got {r}")
+    total = ap_count_closed_form(n, r)  # refuses n and r before any draw
     if cfg.c == 1:
-        return _empirical(Counter({(ap_count_closed_form(n, r),): cfg.replicates}), 1, cfg)
+        return _empirical(Counter({(total,): cfg.replicates}), 1, cfg)
 
     def count(colors):
-        rows, (u, v) = _monochromatic_subsets(n, 2, *_color_walk(colors))
-        step = v - u
-        fits = np.flatnonzero(v + (r - 2) * step < n)
-        rows, step = rows[fits], step[fits]
+        keys, width, spans = _color_walk(colors)
+        rows, (u, w) = _monochromatic_subsets(n, 2, keys, width, (sp for sp in spans if sp[0] >= r - 1))
+        gap = w - u
+        fits = np.flatnonzero(gap % (r - 1) == 0)
+        rows, step = rows[fits], gap[fits] // (r - 1)
         flat = colors.ravel()
-        nxt = rows * n + v[fits]
+        nxt = rows * n + u[fits]
         ref = flat[nxt]
         ok = np.ones(len(rows), dtype=bool)
         for _ in range(r - 2):

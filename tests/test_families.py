@@ -246,6 +246,15 @@ class TestApHypergraph:
             ap_hypergraph([0, 1, 2], 3)
         with pytest.raises(ValidationError, match="< 2\\^63"):
             ap_hypergraph([1, 2, 1 << 63], 3)
+        with pytest.raises(ValidationError, match="^r: must be an integer >= 3, got 3.0$"):
+            ap_hypergraph(range(1, 10), 3.0)
+        for n in (-1, -5, 10.0, True, None):
+            with pytest.raises(ValidationError, match="^n: must be an integer >= 0"):
+                ap_count_closed_form(n, 3)
+        for r in (2, 3.0, True, None):
+            with pytest.raises(ValidationError, match="^r: must be an integer >= 3"):
+                ap_count_closed_form(10, r)
+        assert ap_count_closed_form(0, 3) == ap_count_closed_form(2, 3) == 0
 
 
 class TestAutomorphisms:

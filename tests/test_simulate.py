@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, exp, factorial, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -633,7 +634,9 @@ class TestSimulateAp:
     def test_bitwise_matches_generic(self, monkeypatch):
         # 9216 replicates: three blocks, the last one short. c = 2^31 - 1
         # puts the packed keys past uint32, so the int64 sort runs.
-        for n, r, c in ((20, 3, 5), (17, 4, 5), (26, 5, 2), (200, 3, 2**31 - 1)):
+        # (60, 3, 2) and (40, 4, 3): large color classes give deep spans and
+        # outer-pair gaps of both parities.
+        for n, r, c in ((20, 3, 5), (17, 4, 5), (26, 5, 2), (60, 3, 2), (40, 4, 3), (200, 3, 2**31 - 1)):
             H = ap_hypergraph(range(1, n + 1), r)
             cfg = new_simulation_config(c, 9216, 19)
             monkeypatch.setattr(simulate, "CHUNK", CHUNK)
@@ -646,9 +649,30 @@ class TestSimulateAp:
             monkeypatch.setattr(simulate, "CHUNK", 300)
             assert simulate_ap_T(n, r, cfg).law == fast.law, (n, r, c)
 
+    @given(
+        st.integers(1, 40),
+        st.integers(3, 6),
+        st.integers(1, 5),
+        st.integers(0, 2**32),
+        st.sampled_from([CHUNK, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_counter(self, n, r, c, seed, chunk):
+        cfg = new_simulation_config(c, 300, seed)
+        H = ap_hypergraph(range(1, n + 1), r)
+        with mock.patch.object(simulate, "CHUNK", chunk):
+            assert simulate_ap_T(n, r, cfg).law == simulate_T(new_multiplex([H]), cfg, backend="dense").law
+
     def test_r_validation(self):
-        with pytest.raises(ValidationError):
-            simulate_ap_T(10, 2, new_simulation_config(2, 100, 0))
+        # n and r are checked before the c = 1 shortcut, which draws nothing
+        for c in (1, 2, 3):
+            cfg = new_simulation_config(c, 100, 0)
+            for n in (-1, -5, 10.0):
+                with pytest.raises(ValidationError, match="^n: must be an integer >= 0"):
+                    simulate_ap_T(n, 3, cfg)
+            for r in (2, 3.0):
+                with pytest.raises(ValidationError, match="^r: must be an integer >= 3"):
+                    simulate_ap_T(10, r, cfg)
 
 
 def exact_correlated_er_law(params, c):
