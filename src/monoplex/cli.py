@@ -42,6 +42,7 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _check_int,
     _is_int,
     _prefixed,
     new_multiplex,
@@ -199,16 +200,14 @@ def new_experiment_spec(
         raise ValidationError("sizes: must be a nonempty list")
     sizes = tuple(sizes)
     for i, n in enumerate(sizes):
-        if not _is_int(n) or n < 1:
-            raise ValidationError(f"sizes[{i}]: must be an integer >= 1, got {n!r}")
+        _check_int(n, 1, f"sizes[{i}]")
     if law not in ("simulate", "exact"):
         raise ValidationError(f"law: expected 'simulate' or 'exact', got {law!r}")
     if not isinstance(c_rule, dict):
         raise ValidationError(f"c_rule: expected an object, got {c_rule!r}")
     kind = c_rule.get("kind")
     if kind == "fixed":
-        if not _is_int(c_rule.get("value")) or c_rule["value"] < 1:
-            raise ValidationError(f"c_rule.value: must be an integer >= 1, got {c_rule.get('value')!r}")
+        _check_int(c_rule.get("value"), 1, "c_rule.value")
     elif kind in ("power", "mean"):
         if _number(c_rule.get("lam"), "c_rule.lam") <= 0:
             raise ValidationError("c_rule.lam: must be a positive number")
@@ -430,23 +429,16 @@ class AppendixBScenario(BuiltScenario):
         return rows
 
 
-def _param(params: dict, key: str, default=None, integer: bool = False):
-    """A numeric scenario parameter: params[key], else default (None: required)."""
+def _param(params: dict, key: str, default=None, low: int | None = None):
+    """A numeric scenario parameter: params[key], else default (None: required);
+    an integer >= low when low is given."""
     value = params.get(key, default)
     if value is None:
         raise ValidationError(f"params.{key}: required for this scenario")
-    if not integer:
+    if low is None:
         return _number(value, f"params.{key}")
-    if not _is_int(value):
-        raise ValidationError(f"params.{key}: must be an integer, got {value!r}")
+    _check_int(value, low, f"params.{key}")
     return value
-
-
-def _complete(n: int) -> UniformHypergraph:
-    """K_n, for n >= 2."""
-    if n < 2:
-        raise ValidationError(f"n: complete graph needs n >= 2, got {n}")
-    return complete_graph(n)
 
 
 def _blocks_graph(blocks: int, triangle_fraction: float):
@@ -479,7 +471,7 @@ def _multiplex_scenario(n: int, layers: list[UniformHypergraph]) -> MultiplexSce
 
 
 def _build_complete_graph(params: dict, n: int) -> BuiltScenario:
-    return _multiplex_scenario(n, [_complete(n)])
+    return _multiplex_scenario(n, [complete_graph(n)])
 
 
 def _build_pattern_copies(params: dict, n: int) -> BuiltScenario:
@@ -495,14 +487,12 @@ def _build_pattern_copies(params: dict, n: int) -> BuiltScenario:
 
 
 def _build_ap(params: dict, n: int) -> BuiltScenario:
-    r = _param(params, "r", 3, integer=True)
-    if r < 3:
-        raise ValidationError(f"params.r: must be >= 3, got {r}")
+    r = _param(params, "r", 3, low=3)
     return ApScenario(n, 1, r, ap_count_closed_form(n, r))
 
 
 def _build_corr_er(params: dict, n: int) -> BuiltScenario:
-    r = _param(params, "r", 2, integer=True)
+    r = _param(params, "r", 2, low=2)
     ep = new_correlated_er_params(n, r, _param(params, "p"), _param(params, "rho"))
     return CorrErScenario(n, 2, r, ep.p * comb(n, r), ep)
 
@@ -760,11 +750,10 @@ def preset_spec(name: str) -> ExperimentSpec:
 def cmd_construct(args) -> int:
     name = args.name
     if name == "ap":
-        if args.n < args.r:  # the loader refuses a file with fewer vertices than r
-            raise ValidationError(f"n: must be >= r = {args.r}, got {args.n}")
+        _check_int(args.n, 0, "n")
         structure = ap_hypergraph(range(1, args.n + 1), args.r)
     elif name == "complete":
-        structure = _complete(args.n)
+        structure = complete_graph(args.n)
     elif name == "appendix-a":
         structure = appendix_star_hypergraph(args.n)
     elif name == "appendix-b":

@@ -34,10 +34,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value, low: int, field: str) -> None:
+    """The one integer check: value is an int, not a bool, and >= low."""
+    if not _is_int(value) or value < low:
+        raise ValidationError(f"{field}: must be an integer >= {low}, got {value!r}")
+
+
 def _check_c(c) -> None:
     """c colors: an integer >= 1."""
-    if not _is_int(c) or c < 1:
-        raise ValidationError(f"c: must be an integer >= 1, got {c!r}")
+    _check_int(c, 1, "c")
 
 
 def _prefixed(where: str, build: Callable, *args):
@@ -153,11 +158,11 @@ def new_hypergraph(
 
 
 def _check_sizes(r, n) -> None:
-    """uniformity r >= 2 and num_vertices n in [r, MAX_VERTICES], as integers."""
-    if not isinstance(r, int) or r < 2:
-        raise ValidationError(f"uniformity: must be an integer >= 2, got {r!r}")
-    if not isinstance(n, int) or n < r:
-        raise ValidationError(f"num_vertices: must be an integer >= uniformity {r}, got {n!r}")
+    """The one size rule of a layer: uniformity r an integer >= 2 and
+    num_vertices n an integer in [0, MAX_VERTICES]. No rule ties n to r: an
+    edge's r distinct vertices in [0, n) already need n >= r."""
+    _check_int(r, 2, "uniformity")
+    _check_int(n, 0, "num_vertices")
     if n > MAX_VERTICES:
         raise ValidationError(f"num_vertices: must be at most {MAX_VERTICES} (int32 vertices), got {n}")
 
@@ -295,10 +300,9 @@ def weighted_layer(
     weight_bound None takes the largest weight. Messages index weights as given."""
     weights = tuple(weights)
     for i, w in enumerate(weights):
-        if not _is_int(w) or w < 1:
-            raise ValidationError(f"weights[{i}]: weight must be an integer >= 1, got {w!r}")
-    if weight_bound is not None and (not _is_int(weight_bound) or weight_bound < 1):
-        raise ValidationError(f"weight_bound: must be an integer >= 1, got {weight_bound!r}")
+        _check_int(w, 1, f"weights[{i}]")
+    if weight_bound is not None:
+        _check_int(weight_bound, 1, "weight_bound")
     bound = max(weights, default=1) if weight_bound is None else weight_bound
     for i, w in enumerate(weights):
         if w > bound:
@@ -310,7 +314,7 @@ def weighted_layer(
 def new_coloring(colors: Sequence[int], c: int) -> Coloring:
     _check_c(c)
     for i, a in enumerate(colors):
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1 or a > c:
+        if not _is_int(a) or not 1 <= a <= c:
             raise ValidationError(f"colors[{i}]: color {a!r} out of range [1, {c}]")
     return Coloring(tuple(colors), c)
 
@@ -450,7 +454,7 @@ def k_exact_all(H: UniformHypergraph) -> dict[int, int]:
 
 def k_exact(t: int, H: UniformHypergraph) -> int:
     """Ordered pairs (e1, e2) of distinct edges with |e1 & e2| = t exactly."""
-    if t < 0 or t > H.uniformity - 1:
+    if not _is_int(t) or not 0 <= t <= H.uniformity - 1:
         raise ValidationError(f"t={t} out of range [0, {H.uniformity - 1}]")
     return k_exact_all(H)[t]
 
@@ -466,7 +470,7 @@ def k_cross_all(H1: UniformHypergraph, H2: UniformHypergraph) -> dict[int, int]:
 
 def k_cross(t: int, H1: UniformHypergraph, H2: UniformHypergraph) -> int:
     rmin = min(H1.uniformity, H2.uniformity)
-    if t < 0 or t > rmin:
+    if not _is_int(t) or not 0 <= t <= rmin:
         raise ValidationError(f"t={t} out of range [0, {rmin}]")
     return k_cross_all(H1, H2)[t]
 

@@ -28,8 +28,8 @@ from monoplex.core import (
     UniformHypergraph,
     ValidationError,
     WeightedUniformHypergraph,
+    _check_int,
     _is_int,
-    _listed,
     _row_runs,
     new_hypergraph,
     weighted_layer,
@@ -38,6 +38,8 @@ from monoplex.core import (
 PATTERN_MAX_VERTICES = 8
 # Memory bound of ap_hypergraph: (first, second) index candidates per block.
 AP_PAIR_BUDGET = 1 << 18
+# r-subsets, or expected sparse pair draws, sample_correlated_er may hold.
+ER_SUBSET_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,7 @@ class CopiesResult:
 
 
 def new_simple_graph(n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
-    """The graph on [0, n) with the given edges: new_hypergraph(2, n, edges),
-    which also takes an edgeless graph on 0 or 1 vertices."""
-    if not _is_int(n) or n < 0:
-        raise ValidationError(f"num_vertices: must be an integer >= 0, got {n!r}")
-    if n < 2:
-        if len(_listed(edges, "edges")):
-            raise ValidationError(f"edges[0]: out of range [0, {n}), a graph on {n} < 2 vertices has no edges")
-        return UniformHypergraph(2, n, ())
+    """The graph on [0, n) with the given edges."""
     return new_hypergraph(2, n, edges)
 
 
@@ -84,22 +79,24 @@ def new_pattern_graph(n: int, edges: Iterable[Sequence[int]]) -> UniformHypergra
 
 
 def complete_graph(n: int) -> UniformHypergraph:
+    _check_int(n, 0, "n")
     return UniformHypergraph(2, n, _pairs(np.arange(n)))
 
 
 def path_graph(n: int) -> UniformHypergraph:
+    _check_int(n, 0, "n")
     return UniformHypergraph(2, n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
 
 def cycle_graph(n: int) -> UniformHypergraph:
-    if n < 3:
-        raise ValidationError(f"cycle needs >= 3 vertices, got {n}")
+    _check_int(n, 3, "n")
     return UniformHypergraph(2, n, np.insert(path_graph(n).edge_array, 1, (0, n - 1), axis=0))
 
 
 def sample_er_graph(n: int, p: float, rng: np.random.Generator) -> UniformHypergraph:
     """G(n, p): each pair kept independently with probability p, one draw per
     pair in lexicographic order."""
+    _check_int(n, 0, "n")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p: must be in [0, 1], got {p}")
     return UniformHypergraph(2, n, _pairs(np.arange(n))[rng.random(comb(n, 2)) < p])
@@ -122,8 +119,7 @@ def _adjacency(G: UniformHypergraph) -> list[set[int]]:
 def clique_hypergraph(G: UniformHypergraph, r: int) -> UniformHypergraph:
     """r-uniform hypergraph on V(G) whose edges are the r-cliques of G."""
     _check_graph(G, "G")
-    if r < 2:
-        raise ValidationError(f"r: must be >= 2, got {r}")
+    _check_int(r, 2, "r")
     adj = _adjacency(G)
     out: list[tuple[int, ...]] = []
 
@@ -238,12 +234,10 @@ def copies_hypergraph(G: UniformHypergraph, F: UniformHypergraph) -> CopiesResul
 def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
     """Hypergraph on the re-indexed elements of A whose edges are the r-term
     arithmetic progressions inside A (common difference d >= 1, unordered)."""
-    _check_ap_r(r)
+    _check_int(r, 3, "r")
     elems = list(A)
-    if any(
-        not isinstance(a, int) or isinstance(a, bool) or a < 1 for a in elems
-    ):
-        raise ValidationError("A: elements must be integers >= 1")
+    for i, a in enumerate(elems):
+        _check_int(a, 1, f"A[{i}]")
     if any(b <= a for a, b in zip(elems, elems[1:])):
         raise ValidationError("A: must be strictly increasing")
     n = len(elems)
@@ -273,17 +267,10 @@ def ap_hypergraph(A: Sequence[int], r: int) -> UniformHypergraph:
     return UniformHypergraph(r, n, np.concatenate(blocks))
 
 
-def _check_ap_r(r) -> None:
-    """r-term progressions: r an integer >= 3."""
-    if not _is_int(r) or r < 3:
-        raise ValidationError(f"r: must be an integer >= 3, got {r!r}")
-
-
 def ap_count_closed_form(n: int, r: int) -> int:
     """Number of r-term APs in [1, n]: sum over d >= 1 of (n - (r-1)d)."""
-    if not _is_int(n) or n < 0:
-        raise ValidationError(f"n: must be an integer >= 0, got {n!r}")
-    _check_ap_r(r)
+    _check_int(n, 0, "n")
+    _check_int(r, 3, "r")
     dmax = (n - 1) // (r - 1)
     return dmax * n - (r - 1) * dmax * (dmax + 1) // 2
 
@@ -302,8 +289,6 @@ def vertex_copy_weighted_hypergraph(
     k = F.num_vertices
     if k < 2:
         raise ValidationError(f"pattern must have >= 2 vertices, got {k}")
-    if G.num_vertices < k:
-        raise ValidationError(f"num_vertices: must be >= uniformity {k}, got {G.num_vertices}")
     aut = automorphism_count(F)
     images = np.sort(_copy_maps(G, F), axis=1)
     order, starts = _row_runs(images)
@@ -317,8 +302,7 @@ def vertex_copy_weighted_hypergraph(
 def appendix_star_hypergraph(n: int) -> UniformHypergraph:
     """3-uniform hypergraph on n vertices whose edges are all triples through
     vertex 0; C(n-1, 2) edges."""
-    if n < 3:
-        raise ValidationError(f"n: must be >= 3, got {n}")
+    _check_int(n, 3, "n")
     pairs = _pairs(np.arange(1, n))
     return UniformHypergraph(3, n, np.column_stack((np.zeros(len(pairs), dtype=np.int64), pairs)))
 
@@ -338,8 +322,7 @@ def appendix_three_multiplex(n: int, lam: float, variant: str) -> Multiplex:
     """
     if not 0.0 < lam < 0.25:
         raise ValidationError(f"lambda: must be in (0, 1/4), got {lam}")
-    if n < 2:
-        raise ValidationError(f"n: must be >= 2, got {n}")
+    _check_int(n, 2, "n")
     if variant not in ("nested", "pairwise"):
         raise ValidationError(f"variant: must be 'nested' or 'pairwise', got {variant!r}")
     m = math.floor(lam * n)
@@ -356,10 +339,8 @@ def appendix_three_multiplex(n: int, lam: float, variant: str) -> Multiplex:
 
 
 def new_correlated_er_params(n: int, r: int, p: float, rho: float) -> CorrelatedErParams:
-    if r < 2:
-        raise ValidationError(f"r: must be >= 2, got {r}")
-    if n < r:
-        raise ValidationError(f"n: must be >= r = {r}, got {n}")
+    _check_int(r, 2, "r")
+    _check_int(n, r, "n")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p: must be in (0, 1), got {p}")
     if not 0.0 <= rho < p * (1.0 - p):
@@ -396,24 +377,20 @@ def _sparse_positions(M: int, q: float, rng: np.random.Generator) -> np.ndarray:
     return all_idx[all_idx < M]
 
 
-def sample_correlated_er(
-    params: CorrelatedErParams,
-    rng: np.random.Generator,
-    max_subsets: int = 2_000_000,
-) -> Multiplex:
+def sample_correlated_er(params: CorrelatedErParams, rng: np.random.Generator) -> Multiplex:
     """Draw one two-layer multiplex: independently for each r-subset of [n],
     place it in both layers w.p. p12, layer 1 only w.p. p - p12, layer 2 only
     w.p. p - p12, neither otherwise.
 
-    Up to max_subsets subsets are enumerated in full. Past it, pairs (r = 2)
-    are drawn sparsely, skipping between present pairs with geometric jumps
-    and assigning cells only to those, which yields the same law; larger
-    r-subset counts, and pair draws expected to hold more than max_subsets
-    pairs (C(n, 2) * (2p - p12)), are refused before any draw.
+    Up to ER_SUBSET_BUDGET subsets are enumerated in full. Past it, pairs
+    (r = 2) are drawn sparsely, skipping between present pairs with geometric
+    jumps and assigning cells only to those, which yields the same law;
+    larger r-subset counts, and pair draws expected to hold more than
+    ER_SUBSET_BUDGET pairs (C(n, 2) * (2p - p12)), are refused before any draw.
     """
     n, r, p, p12 = params.n, params.r, params.p, params.p12
     M = comb(n, r)
-    if M <= max_subsets:
+    if M <= ER_SUBSET_BUDGET:
         u = rng.random(M)
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
         subsets = np.fromiter(flat, dtype=np.int64, count=M * r).reshape(M, r)
@@ -421,9 +398,9 @@ def sample_correlated_er(
         e2 = subsets[(u < p12) | ((u >= p) & (u < 2.0 * p - p12))]
     elif r == 2:
         q_any = 2.0 * p - p12
-        if M * q_any > max_subsets:
+        if M * q_any > ER_SUBSET_BUDGET:
             raise ResourceBoundError(
-                f"C({n},2) * (2p - p12) = {M * q_any:.4g} expected pairs exceed bound {max_subsets}"
+                f"C({n},2) * (2p - p12) = {M * q_any:.4g} expected pairs exceed bound {ER_SUBSET_BUDGET}"
             )
         positions = _sparse_positions(M, q_any, rng)
         v = rng.random(len(positions))
@@ -431,5 +408,5 @@ def sample_correlated_er(
         e1 = pairs[v < p / q_any]
         e2 = pairs[(v < p12 / q_any) | (v >= p / q_any)]
     else:
-        raise ResourceBoundError(f"C({n},{r}) = {M} exceeds enumeration bound {max_subsets}")
+        raise ResourceBoundError(f"C({n},{r}) = {M} exceeds enumeration bound {ER_SUBSET_BUDGET}")
     return Multiplex(n, (UniformHypergraph(r, n, e1), UniformHypergraph(r, n, e2)))

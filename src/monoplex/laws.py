@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from monoplex.core import ResourceBoundError, ValidationError, _is_int
+from monoplex.core import ResourceBoundError, ValidationError, _check_int, _is_int
 
 Real = Union[float, Fraction]
 
@@ -73,15 +73,16 @@ def _make_law(d: int, pmf: dict[tuple[int, ...], Real], tail_mass: Real) -> Disc
     return DiscreteLaw(d, tuple(sorted(pmf)), pmf, tail_mass)
 
 
-def law_from_pmf(d: int, pmf: Mapping[tuple[int, ...], Real], tail_mass: Real = 0) -> DiscreteLaw:
-    """Wrap an explicit pmf (e.g. exact enumeration output) as a DiscreteLaw."""
-    return _make_law(d, dict(pmf), tail_mass)
+def law_from_pmf(d: int, pmf: Mapping[tuple[int, ...], Real]) -> DiscreteLaw:
+    """Wrap an explicit pmf (e.g. exact enumeration output) as a DiscreteLaw
+    with no tail."""
+    return _make_law(d, dict(pmf), 0)
 
 
 def _poisson_terms(lam: float, tol: float) -> tuple[list[float], float]:
     """Truncated Pois(lam) pmf as a list over k = 0..k_max, plus tail mass:
     the smallest k_max with remaining mass < tol."""
-    if lam < 0:
+    if isinstance(lam, bool) or not lam >= 0:  # NaN too
         raise ValidationError(f"rate: must be >= 0, got {lam}")
     if lam > MAX_POISSON_RATE:
         raise ResourceBoundError(
@@ -114,8 +115,7 @@ def poisson_law(lam: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DiscreteLaw:
 def new_shared_component_spec(
     d: int, rates: Mapping[Iterable[int], float]
 ) -> SharedComponentSpec:
-    if d < 1:
-        raise ValidationError(f"dimension: must be >= 1, got {d}")
+    _check_int(d, 1, "dimension")
     canon: dict[frozenset[int], float] = {}
     for key, lam in rates.items():
         s = frozenset(key)
@@ -125,7 +125,7 @@ def new_shared_component_spec(
             raise ValidationError(f"rates: subset {sorted(s)} not within [1, {d}]")
         if s in canon:
             raise ValidationError(f"rates: duplicate subset {sorted(s)}")
-        if not math.isfinite(lam) or lam < 0:
+        if isinstance(lam, bool) or not math.isfinite(lam) or lam < 0:
             raise ValidationError(f"rates[{sorted(s)}]: rate must be finite >= 0, got {lam}")
         canon[s] = float(lam)
     return SharedComponentSpec(d, canon)
@@ -184,7 +184,7 @@ def compound_weighted_law(
     if len(rates) < 1:
         raise ValidationError("rates: at least one rate required")
     for i, lam in enumerate(rates):
-        if lam < 0:
+        if isinstance(lam, bool) or not lam >= 0:  # NaN too
             raise ValidationError(f"rates[{i}]: must be >= 0, got {lam}")
     return _poisson_sum(1, [(i + 1,) for i in range(len(rates))], rates, tail_tol)
 

@@ -51,6 +51,7 @@ from monoplex.core import (
     ValidationError,
     WeightedUniformHypergraph,
     _check_c,
+    _check_int,
     _is_int,
     _row_runs,
 )
@@ -68,6 +69,9 @@ CHUNK = BLOCK_SIZE // 8
 # bytes per pair, testing them against a layer near 35 (41 per triple), the
 # AP kernel near 34, so even a whole block at the budget stays under 2 GiB.
 PAIR_BUDGET = 40_000_000
+
+# Color partitions an exact law may enumerate.
+MAX_PARTITIONS = 10_000_000
 
 # Colors are drawn as int32 in [1, c], so c + 1 must fit in int32; a wider
 # draw would change the random stream.
@@ -98,8 +102,7 @@ class EmpiricalLaw:
 
 def new_simulation_config(c: int, replicates: int, seed: int) -> SimulationConfig:
     _check_drawn_c(c)
-    if not _is_int(replicates) or replicates < 1:
-        raise ValidationError(f"replicates: must be an integer >= 1, got {replicates!r}")
+    _check_int(replicates, 1, "replicates")
     _check_seed(seed)
     return SimulationConfig(c, replicates, seed)
 
@@ -463,7 +466,7 @@ def _empirical(
     counts: Counter, d: int, cfg: SimulationConfig, blocks: int = 0, layers: tuple[dict, ...] = ()
 ) -> EmpiricalLaw:
     pmf = {key: Fraction(k, cfg.replicates) for key, k in counts.items()}
-    law = law_from_pmf(d, pmf, 0)
+    law = law_from_pmf(d, pmf)
     return EmpiricalLaw(law, blocks, CHUNK, layers)
 
 
@@ -602,17 +605,17 @@ def _exact(
     weight_lists: Sequence[Sequence[int] | None],
     n: int,
     c: int,
-    max_states: int,
 ) -> DiscreteLaw:
     """Exact joint pmf over all c^n colorings, counted partition by
-    partition; masses integer/c^n, tail 0."""
+    partition; masses integer/c^n, tail 0. At most MAX_PARTITIONS color
+    partitions are enumerated."""
     _check_c(c)
     kmax = min(c, n)
     states = _partition_count(n, kmax)
-    if states > max_states:
+    if states > MAX_PARTITIONS:
         raise ResourceBoundError(
             f"{states} partitions of {n} vertices into at most {kmax} color classes "
-            f"exceed enumeration bound {max_states}"
+            f"exceed enumeration bound {MAX_PARTITIONS}"
         )
     falling = [1]  # falling[k] = (c)_k, the colorings that realize a k-block partition
     for k in range(kmax):
@@ -624,17 +627,14 @@ def _exact(
         for key, k in _row_counts(out):
             counts[key[:-1]] += k * falling[key[-1]]
     pmf = {key: Fraction(total, c**n) for key, total in counts.items()}
-    return law_from_pmf(len(layers), pmf, 0)
+    return law_from_pmf(len(layers), pmf)
 
 
-def exact_law(M: Multiplex, c: int, max_states: int = 10_000_000) -> DiscreteLaw:
-    """Exact joint pmf of the layer counts, masses integer/c^n, tail 0.
-    max_states bounds the number of color partitions enumerated."""
-    return _exact(M.layers, [None] * M.num_layers, M.num_vertices, c, max_states)
+def exact_law(M: Multiplex, c: int) -> DiscreteLaw:
+    """Exact joint pmf of the layer counts, masses integer/c^n, tail 0."""
+    return _exact(M.layers, [None] * M.num_layers, M.num_vertices, c)
 
 
-def exact_law_weighted(
-    WH: WeightedUniformHypergraph, c: int, max_states: int = 10_000_000
-) -> DiscreteLaw:
+def exact_law_weighted(WH: WeightedUniformHypergraph, c: int) -> DiscreteLaw:
     """Exact pmf of the weighted monochromatic total."""
-    return _exact([WH.base], [WH.weights], WH.base.num_vertices, c, max_states)
+    return _exact([WH.base], [WH.weights], WH.base.num_vertices, c)

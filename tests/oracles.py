@@ -18,10 +18,9 @@ def new_hypergraph_reference(r, n, edges) -> UniformHypergraph:
     loader behind monoplex.core.new_hypergraph. Within an edge it checks each
     vertex's type and range, then the edge size, repeated vertices, and
     repeats of an earlier edge."""
-    if not isinstance(r, int) or r < 2:
-        raise ValidationError(f"uniformity: must be an integer >= 2, got {r!r}")
-    if not isinstance(n, int) or n < r:
-        raise ValidationError(f"num_vertices: must be an integer >= uniformity {r}, got {n!r}")
+    for value, low, field in ((r, 2, "uniformity"), (n, 0, "num_vertices")):
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ValidationError(f"{field}: must be an integer >= {low}, got {value!r}")
     canon = []
     seen = set()
     for i, raw in enumerate(edges):

@@ -174,11 +174,24 @@ class TestConstruct:
         assert run_cli("construct", "moebius", "--n", 5) == 2
         assert "unknown construction" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", (0, 2))
-    def test_ap_with_fewer_vertices_than_r_exits_2(self, n, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [("ap", "--n", 0, "--r", 3), ("ap", "--n", 2, "--r", 3), ("complete", "--n", 1)],
+        ids=["ap-0", "ap-2", "complete-1"],
+    )
+    def test_fewer_vertices_than_r(self, argv, tmp_path, capsys):
+        # an edgeless layer on fewer vertices than its uniformity is written and read back
+        out = tmp_path / "s.json"
+        assert run_cli("construct", *argv, "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {out} (0 edges)\n"
+        assert run_cli("moments", out, "--c", 2, "--rational") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["mean"], report["variance"]) == ("0/1", "0/1")
+
+    def test_ap_negative_n_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ap.json"
-        assert run_cli("construct", "ap", "--n", n, "--r", 3, "--out", out) == 2
-        assert f"n: must be >= r = 3, got {n}" in capsys.readouterr().err
+        assert run_cli("construct", "ap", "--n", -1, "--r", 3, "--out", out) == 2
+        assert capsys.readouterr().err == "error: n: must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
@@ -337,9 +350,9 @@ class TestMoments:
         [
             ("multiplex", 2, [[-1, 1]], None, "layers[1].edges[0][0]: vertex -1 out of range [0, 3)"),
             ("multiplex", 1, [[0], [1]], None, "layers[1].uniformity: must be an integer >= 2, got 1"),
-            ("weighted_hypergraph", 2, [[0, 1], [1, 2]], [0, 1], "weights[0]: weight must be an integer >= 1, got 0"),
+            ("weighted_hypergraph", 2, [[0, 1], [1, 2]], [0, 1], "weights[0]: must be an integer >= 1, got 0"),
             # the index is the file's, not that of the sorted edges
-            ("weighted_hypergraph", 2, [[1, 2], [0, 1]], [1, 0], "weights[1]: weight must be an integer >= 1, got 0"),
+            ("weighted_hypergraph", 2, [[1, 2], [0, 1]], [1, 0], "weights[1]: must be an integer >= 1, got 0"),
         ],
         ids=["vertex", "uniformity", "weight", "weight-unsorted"],
     )

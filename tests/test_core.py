@@ -361,6 +361,12 @@ class TestKExact:
             k_exact(3, H3)
         with pytest.raises(ValidationError):
             k_exact(-1, H3)
+        # t is an integer: not a float, not a bool
+        for t in (1.5, 1.0, True):
+            with pytest.raises(ValidationError, match=rf"^t={t} out of range \[0, 2\]$"):
+                k_exact(t, H3)
+            with pytest.raises(ValidationError, match=rf"^t={t} out of range \[0, 3\]$"):
+                k_cross(t, H3, H3)
 
     @given(hypergraphs())
     @settings(max_examples=150, deadline=None)

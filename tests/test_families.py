@@ -39,7 +39,13 @@ from monoplex.families import (
     vertex_copy_weighted_hypergraph,
     _unrank_pairs,
 )
-from monoplex.serialize import hypergraph_from_obj, hypergraph_to_obj
+from monoplex.serialize import (
+    hypergraph_from_obj,
+    hypergraph_to_obj,
+    load_structure,
+    weighted_to_obj,
+    write_json,
+)
 from oracles import (
     ap_hypergraph_reference,
     copies_edges_recursive,
@@ -102,7 +108,7 @@ class TestSimpleGraph:
     def test_fewer_than_two_vertices(self):
         assert new_simple_graph(0, []) == UniformHypergraph(2, 0, ())
         assert new_simple_graph(1, []) == UniformHypergraph(2, 1, ())
-        with pytest.raises(ValidationError, match=r"edges\[0\]: out of range \[0, 1\)"):
+        with pytest.raises(ValidationError, match=r"^edges\[0\]\[1\]: vertex 1 out of range \[0, 1\)$"):
             new_simple_graph(1, [[0, 1]])
         with pytest.raises(ValidationError, match="num_vertices: must be an integer >= 0"):
             new_simple_graph(-1, [])
@@ -416,15 +422,16 @@ class TestCorrelatedEr:
         assert pairs.dtype == np.int64
         assert pairs.tolist() == [list(e) for e in itertools.combinations(range(n), 2)]
 
-    def test_sparse_matches_dense_stats(self):
+    def test_sparse_matches_dense_stats(self, monkeypatch):
+        monkeypatch.setattr(families, "ER_SUBSET_BUDGET", 1000)
         params = new_correlated_er_params(60, 2, 0.25, 0.08)
         rng = np.random.default_rng(42)
         slots = comb(60, 2)
         tot1 = tot2 = tot_both = 0
         draws = 150
         for _ in range(draws):
-            # C(60, 2) = 1770 pairs pass max_subsets, so pairs are drawn sparsely
-            M = sample_correlated_er(params, rng, max_subsets=1000)
+            # C(60, 2) = 1770 pairs pass the budget, so pairs are drawn sparsely
+            M = sample_correlated_er(params, rng)
             s1, s2 = set(M.layers[0].edges), set(M.layers[1].edges)
             tot1 += len(s1)
             tot2 += len(s2)
@@ -434,16 +441,18 @@ class TestCorrelatedEr:
             se = sqrt(q * (1 - q) / total)
             assert abs(observed / total - q) < 4 * se
 
-    def test_sparse_draw_bound(self):
+    def test_sparse_draw_bound(self, monkeypatch):
         # rho = 0 gives p12 = p^2: C(60, 2) * (2p - p12) = 1770 * 0.99 pairs exceed 1000
+        monkeypatch.setattr(families, "ER_SUBSET_BUDGET", 1000)
         params = new_correlated_er_params(60, 2, 0.9, 0.0)
         with pytest.raises(ResourceBoundError, match="bound 1000"):
-            sample_correlated_er(params, np.random.default_rng(0), max_subsets=1000)
+            sample_correlated_er(params, np.random.default_rng(0))
 
-    def test_resource_bound(self):
+    def test_resource_bound(self, monkeypatch):
+        monkeypatch.setattr(families, "ER_SUBSET_BUDGET", 1000)
         params = new_correlated_er_params(200, 3, 0.01, 0.0)
         with pytest.raises(Exception, match="bound"):
-            sample_correlated_er(params, np.random.default_rng(0), max_subsets=1000)
+            sample_correlated_er(params, np.random.default_rng(0))
 
 
 @st.composite
@@ -472,10 +481,7 @@ class TestCopyMapsOracle:
         copies = copies_hypergraph(G, F)
         assert copies.hypergraph.edges == copies_edges_recursive(G, F)
         assert copies.edge_labels == G.edges
-        if G.num_vertices < F.num_vertices:
-            with pytest.raises(ValidationError, match="num_vertices"):
-                vertex_copy_weighted_hypergraph(G, F)
-            return
+        # a host smaller than the pattern gives the empty weighted layer
         weighted = vertex_copy_weighted_hypergraph(G, F)
         assert (weighted.base.edges, weighted.weights) == vertex_copy_weights_recursive(G, F)
 
@@ -490,7 +496,7 @@ class TestArrayLayers:
 
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_complete(self, n):
-        H = cli._complete(n)
+        H = complete_graph(n)
         assert H.edges == _complete_tuples(range(n))
         assert H == UniformHypergraph(2, n, _complete_tuples(range(n)))
 
@@ -518,7 +524,7 @@ class TestArrayLayers:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: cli._complete(30),
+            lambda: complete_graph(30),
             lambda: appendix_star_hypergraph(12),
             lambda: appendix_three_multiplex(30, 0.2, "pairwise").layers[2],
             lambda: copies_hypergraph(complete_graph(7), new_pattern_graph(4, [[0, 1], [1, 2], [2, 3]])).hypergraph,
@@ -550,3 +556,55 @@ class TestArrayLayers:
         layers = [layer for b in built for M in b.variants.values() for layer in M.layers]
         assert len(layers) == 12  # two sizes, two variants, three layers
         assert all(layer._edges is None for layer in layers)
+
+
+P4 = new_pattern_graph(4, [[0, 1], [1, 2], [2, 3]])
+
+
+class TestSmallestSizes:
+    """A layer may have fewer vertices than its uniformity; it then has no
+    edges, and every builder's smallest layers write and read back."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: complete_graph(0),
+            lambda: complete_graph(1),
+            lambda: path_graph(1),
+            lambda: new_simple_graph(0, []),
+            lambda: new_simple_graph(1, []),
+            lambda: ap_hypergraph(range(1, 3), 3),
+            lambda: clique_hypergraph(complete_graph(4), 5),
+            lambda: copies_hypergraph(complete_graph(2), P4).hypergraph,
+            lambda: vertex_copy_weighted_hypergraph(complete_graph(2), PATH3),
+        ],
+        ids=["complete-0", "complete-1", "path-1", "simple-0", "simple-1", "ap-2-r3", "clique-4-r5", "copies-K2-P4", "weighted-K2-P3"],
+    )
+    def test_round_trip(self, build, tmp_path):
+        layer = build()
+        base = getattr(layer, "base", layer)
+        assert base.num_edges == 0
+        to_obj = weighted_to_obj if base is not layer else hypergraph_to_obj
+        write_json(tmp_path / "s.json", to_obj(layer))
+        assert load_structure(tmp_path / "s.json") == layer
+
+    @pytest.mark.parametrize("bad", [2.5, True, -1], ids=["float", "bool", "negative"])
+    @pytest.mark.parametrize(
+        "build, field, low",
+        [
+            (complete_graph, "n", 0),
+            (path_graph, "n", 0),
+            (cycle_graph, "n", 3),
+            (lambda n: sample_er_graph(n, 0.5, np.random.default_rng(0)), "n", 0),
+            (lambda r: clique_hypergraph(complete_graph(4), r), "r", 2),
+            (appendix_star_hypergraph, "n", 3),
+            (lambda n: appendix_three_multiplex(n, 0.2, "nested"), "n", 2),
+            (lambda r: new_correlated_er_params(10, r, 0.3, 0.0), "r", 2),
+            (lambda n: new_correlated_er_params(n, 2, 0.3, 0.0), "n", 2),
+        ],
+        ids=["complete", "path", "cycle", "er", "clique-r", "star", "three-multiplex", "corr-er-r", "corr-er-n"],
+    )
+    def test_sizes_must_be_integers(self, build, field, low, bad):
+        with pytest.raises(ValidationError) as exc:
+            build(bad)
+        assert str(exc.value) == f"{field}: must be an integer >= {low}, got {bad!r}"

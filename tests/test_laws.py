@@ -52,11 +52,16 @@ class TestPoissonLaw:
         with pytest.raises(ValidationError):
             poisson_law(-0.1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), True, False], ids=["nan", "true", "false"])
+    def test_nan_and_bool_rejected(self, lam):
+        with pytest.raises(ValidationError, match=f"^rate: must be >= 0, got {lam}$"):
+            poisson_law(lam)
+
     def test_tail_below_tol(self):
         P = poisson_law(1.5, tail_tol=1e-6)
         assert 0 <= P.tail_mass < 1e-6
 
-    @pytest.mark.parametrize("lam", [740.0, 1990.0, 1e9])
+    @pytest.mark.parametrize("lam", [740.0, 1990.0, 1e9, float("inf")])
     def test_rates_past_float_underflow_refused(self, lam):
         with pytest.raises(ResourceBoundError, match=f"rate {lam}"):
             poisson_law(lam)
@@ -136,6 +141,11 @@ class TestSharedComponentLaw:
             new_shared_component_spec(2, {(3,): 0.1})
         with pytest.raises(ValidationError):
             new_shared_component_spec(2, {(1,): -0.1})
+        with pytest.raises(ValidationError, match=r"^rates\[\[1\]\]: rate must be finite >= 0, got True$"):
+            new_shared_component_spec(2, {(1,): True})
+        for d in (0, 1.0, True):
+            with pytest.raises(ValidationError, match=f"^dimension: must be an integer >= 1, got {d}$"):
+                new_shared_component_spec(d, {})
 
 
 def _assert_same_law(P, pmf, tail):
@@ -190,6 +200,15 @@ class TestCompoundWeightedLaw:
         with pytest.raises(ValidationError):
             compound_weighted_law([])
 
+    @pytest.mark.parametrize(
+        "rates, i",
+        [([float("nan")], 0), ([0.5, float("nan")], 1), ([True], 0), ([0.5, False], 1)],
+        ids=["nan", "nan-after-rate", "true", "false-after-rate"],
+    )
+    def test_nan_and_bool_rejected(self, rates, i):
+        with pytest.raises(ValidationError, match=rf"^rates\[{i}\]: must be >= 0, got {rates[i]}$"):
+            compound_weighted_law(rates)
+
 
 class TestBinom2PoissonLaw:
     def test_mu_one_values(self):
@@ -213,6 +232,11 @@ class TestBinom2PoissonLaw:
     def test_zero_rate(self):
         P = binom2_poisson_law(0.0)
         assert P.pmf == {(0,): 1.0}
+
+    @pytest.mark.parametrize("mu", [float("nan"), True], ids=["nan", "true"])
+    def test_nan_and_bool_rejected(self, mu):
+        with pytest.raises(ValidationError, match=f"^rate: must be >= 0, got {mu}$"):
+            binom2_poisson_law(mu)
 
 
 class TestTvDistance:

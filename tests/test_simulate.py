@@ -106,13 +106,16 @@ class TestExactLaw:
         law = exact_law(M, 1)
         assert law.pmf == {(3, 1): Fraction(1)}
 
-    def test_bound(self):
-        # max_states bounds the color partitions enumerated: H3 has n = 5
+    def test_bound(self, monkeypatch):
+        # MAX_PARTITIONS bounds the color partitions enumerated: H3 has n = 5
         # vertices and c = 100 > n, so all B_5 = 52 partitions are needed.
         M = new_multiplex([H3])
-        with pytest.raises(ResourceBoundError):
-            exact_law(M, 100, max_states=51)
-        assert exact_law(M, 100, max_states=52) == exact_law(M, 100)
+        law = exact_law(M, 100)
+        monkeypatch.setattr(simulate, "MAX_PARTITIONS", 51)
+        with pytest.raises(ResourceBoundError, match="exceed enumeration bound 51"):
+            exact_law(M, 100)
+        monkeypatch.setattr(simulate, "MAX_PARTITIONS", 52)
+        assert exact_law(M, 100) == law
 
     def test_counts_match_direct_enumeration(self):
         H = new_hypergraph(2, 4, [[0, 1], [1, 2], [2, 3]])
